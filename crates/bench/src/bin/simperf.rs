@@ -33,6 +33,13 @@
 //! bit-identity; `--gate-prep` turns warm-slower-than-cold into a
 //! hard failure.
 //!
+//! The **prefetch wall** is recorded as two ratios of best-case serial
+//! suite times (each cell's fastest of `--reps` runs, summed, with the
+//! modes interleaved per cell): prefetch over baseline host time, and
+//! idle-skip on over off under prefetch. `--gate-prefetch` fails the
+//! run when either exceeds its ceiling ([`HOST_RATIO_CEILING`],
+//! [`IDLE_SKIP_RATIO_CEILING`]), so both can only improve.
+//!
 //! Writes `BENCH_simperf.json` in the current directory (override with
 //! `--out PATH`) and exits nonzero on any digest mismatch, so CI can
 //! run it as a smoke job and archive the JSON as the perf record.
@@ -90,6 +97,7 @@ fn main() -> ExitCode {
     let mut jobs_override: Option<usize> = None;
     let mut gate_parallel = false;
     let mut gate_prep = false;
+    let mut gate_prefetch = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -111,6 +119,7 @@ fn main() -> ExitCode {
             },
             "--gate-parallel" => gate_parallel = true,
             "--gate-prep" => gate_prep = true,
+            "--gate-prefetch" => gate_prefetch = true,
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
@@ -156,6 +165,12 @@ fn main() -> ExitCode {
         all_clean &= report.digests_match_across_jobs && report.digests_match_without_idle_skip;
         reports.push(report);
     }
+    let wall = PrefetchWall::measure(&suite, reps);
+    println!(
+        "prefetch wall: prefetch/baseline host {:.3} (ceiling {HOST_RATIO_CEILING})   \
+         idle-skip on/off under prefetch {:.3} (ceiling {IDLE_SKIP_RATIO_CEILING})",
+        wall.host_ratio, wall.idle_skip_ratio,
+    );
 
     // Hot-kernel microbench: one mid-sized scene simulated end-to-end,
     // with and without the prefetcher, plus the naive loop for scale.
@@ -180,7 +195,7 @@ fn main() -> ExitCode {
         ),
     ];
 
-    let json = render_json(detail, jobs, reps, &plan, &costs, &prep, &reports, &kernels);
+    let json = render_json(detail, jobs, reps, &plan, &costs, &prep, &reports, &wall, &kernels);
     // Atomic write-then-rename: CI archives this file, and a benchmark
     // process killed mid-write must never leave a torn perf record that
     // later tooling would parse as a regression.
@@ -209,6 +224,17 @@ fn main() -> ExitCode {
         }
         println!("prep gate clean (warm {:.1} ms <= cold {:.1} ms)", prep.warm_ms, prep.cold_ms);
     }
+    if gate_prefetch {
+        if wall.host_ratio > HOST_RATIO_CEILING || wall.idle_skip_ratio > IDLE_SKIP_RATIO_CEILING {
+            eprintln!(
+                "error: prefetch wall regressed: prefetch/baseline host {:.3} (ceiling \
+                 {HOST_RATIO_CEILING}), idle-skip on/off {:.3} (ceiling {IDLE_SKIP_RATIO_CEILING})",
+                wall.host_ratio, wall.idle_skip_ratio
+            );
+            return ExitCode::FAILURE;
+        }
+        println!("prefetch gate clean (both ratios under their ceilings)");
+    }
     if gate_parallel {
         for r in &reports {
             if r.parallel.median_ms > r.jobs1.median_ms {
@@ -223,6 +249,60 @@ fn main() -> ExitCode {
         println!("parallel gate clean (median parallel <= median jobs1 for every config)");
     }
     ExitCode::SUCCESS
+}
+
+/// `--gate-prefetch` ceiling on prefetch ÷ baseline host time. Thirty
+/// runs on a 2-core x86-64 VM measured 1.11–1.32 (1.50–1.67 before the
+/// event-driven voter); the ceiling is the highest plus a 10% margin.
+const HOST_RATIO_CEILING: f64 = 1.45;
+
+/// `--gate-prefetch` ceiling on idle-skip on ÷ off host time under
+/// prefetch. The same thirty runs measured 0.75–0.86 (1.10–1.15
+/// before, when idle-skip slowed prefetch runs down); the ceiling is
+/// the highest plus a 10% margin.
+const IDLE_SKIP_RATIO_CEILING: f64 = 0.95;
+
+/// The prefetch wall as two ratios of best-case serial suite times.
+struct PrefetchWall {
+    /// Prefetch ÷ baseline host time.
+    host_ratio: f64,
+    /// Idle-skip on ÷ off host time, under prefetch.
+    idle_skip_ratio: f64,
+}
+
+impl PrefetchWall {
+    /// Times every cell under the baseline, prefetch and prefetch with
+    /// idle-skip off back to back, `rounds` times, and compares each
+    /// mode's best-case suite time (each cell's fastest run, summed).
+    /// A shared host slows down in phases far longer than one cell, so
+    /// interleaving per cell exposes the three modes to the same phases,
+    /// where suite-level interleaving let one phase land on one mode.
+    fn measure(suite: &Suite, rounds: usize) -> PrefetchWall {
+        let prefetch = SimConfig::paper_treelet_prefetch();
+        let modes = [
+            SimConfig::paper_baseline(),
+            SimConfig {
+                idle_skip: false,
+                ..prefetch.clone()
+            },
+            prefetch,
+        ];
+        let mut best = [[f64::INFINITY; 3]].repeat(suite.benches().len());
+        for _ in 0..rounds {
+            for (bench, cell) in suite.benches().iter().zip(&mut best) {
+                for (config, ms) in modes.iter().zip(cell.iter_mut()) {
+                    let t0 = Instant::now();
+                    bench.run(config);
+                    *ms = ms.min(t0.elapsed().as_secs_f64() * 1e3);
+                }
+            }
+        }
+        let total = |mode: usize| best.iter().map(|cell| cell[mode]).sum::<f64>();
+        PrefetchWall {
+            host_ratio: total(2) / total(0),
+            idle_skip_ratio: total(2) / total(1),
+        }
+    }
 }
 
 /// Detail level for the preparation benchmark. Pinned at full scene
@@ -318,7 +398,7 @@ fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}");
     eprintln!(
         "usage: simperf [--out BENCH_simperf.json] [--detail 0.1] [--reps 5] \
-         [--jobs N] [--gate-parallel] [--gate-prep]"
+         [--jobs N] [--gate-parallel] [--gate-prep] [--gate-prefetch]"
     );
     ExitCode::FAILURE
 }
@@ -469,6 +549,7 @@ fn render_json(
     costs: &[u64],
     prep: &PrepReport,
     reports: &[ConfigReport],
+    wall: &PrefetchWall,
     kernels: &[(&str, rt_bench::microbench::Measurement)],
 ) -> String {
     let mut s = String::new();
@@ -537,7 +618,13 @@ fn render_json(
         }
         let _ = write!(s, "\n      ]\n    }}");
     }
-    let _ = write!(s, "\n  ],\n  \"hot_kernels\": [");
+    let _ = write!(
+        s,
+        "\n  ],\n  \"prefetch_wall\": {{\n    \"host_ratio\": {:.4},\n    \
+         \"host_ratio_ceiling\": {HOST_RATIO_CEILING},\n    \"idle_skip_ratio\": {:.4},\n    \
+         \"idle_skip_ratio_ceiling\": {IDLE_SKIP_RATIO_CEILING}\n  }},\n  \"hot_kernels\": [",
+        wall.host_ratio, wall.idle_skip_ratio,
+    );
     for (i, (name, m)) in kernels.iter().enumerate() {
         let _ = write!(
             s,

@@ -4,9 +4,11 @@
 use crate::config::SimConfig;
 use crate::session::SimSession;
 use crate::sim::SimResult;
+use crate::treelet::{FormationPolicy, TreeletAssignment, DEFAULT_TREELET_BYTES};
 use rt_bvh::{TreeStats, WideBvh};
 use rt_geometry::Ray;
 use rt_scene::{Scene, SceneError, SceneId, Workload};
+use std::sync::Arc;
 
 /// Default scene detail used by the experiment harness.
 ///
@@ -17,7 +19,13 @@ use rt_scene::{Scene, SceneError, SceneId, Workload};
 pub const DEFAULT_DETAIL: f32 = 0.5;
 
 /// A prepared scene workload: geometry built, BVH constructed, rays
-/// generated — ready to simulate under any [`SimConfig`].
+/// generated, default treelets formed — ready to simulate under any
+/// [`SimConfig`].
+///
+/// The default-budget treelet assignment ([`DEFAULT_TREELET_BYTES`],
+/// the default [`FormationPolicy`]) is formed once here, or decoded from
+/// a cached artifact, and every run whose config asks for exactly that
+/// assignment reuses it instead of forming it again.
 ///
 /// # Examples
 ///
@@ -35,6 +43,7 @@ pub struct Bench {
     id: SceneId,
     bvh: WideBvh,
     rays: Vec<Ray>,
+    treelets: Arc<TreeletAssignment>,
 }
 
 impl Bench {
@@ -68,10 +77,12 @@ impl Bench {
         let scene_data = Scene::try_build_with_detail(scene, detail)?;
         let rays = workload.generate(&scene_data);
         let bvh = WideBvh::build(scene_data.mesh.into_triangles());
+        let treelets = Arc::new(TreeletAssignment::form(&bvh, DEFAULT_TREELET_BYTES));
         Ok(Bench {
             id: scene,
             bvh,
             rays,
+            treelets,
         })
     }
 
@@ -109,9 +120,20 @@ impl Bench {
 
     /// Reassembles a bench from artifact-decoded parts. The codec layer
     /// ([`decode_prepared_bench`](crate::decode_prepared_bench)) is the
-    /// only caller; it has already validated the tree and rays.
-    pub(crate) fn from_cached_parts(id: SceneId, bvh: WideBvh, rays: Vec<Ray>) -> Bench {
-        Bench { id, bvh, rays }
+    /// only caller; it has already validated the tree, the rays and the
+    /// assignment's coverage of the tree.
+    pub(crate) fn from_cached_parts(
+        id: SceneId,
+        bvh: WideBvh,
+        rays: Vec<Ray>,
+        treelets: Arc<TreeletAssignment>,
+    ) -> Bench {
+        Bench {
+            id,
+            bvh,
+            rays,
+            treelets,
+        }
     }
 
     /// The scene this bench was prepared from.
@@ -135,6 +157,19 @@ impl Bench {
         &self.rays
     }
 
+    /// The default-budget treelet assignment, formed at preparation.
+    pub fn default_treelets(&self) -> &TreeletAssignment {
+        &self.treelets
+    }
+
+    /// The default assignment when `config` would form exactly it, so a
+    /// run can skip formation.
+    fn treelets_for(&self, config: &SimConfig) -> Option<&TreeletAssignment> {
+        let default = config.treelet_bytes == self.treelets.max_bytes()
+            && config.formation == FormationPolicy::default();
+        default.then_some(&*self.treelets)
+    }
+
     /// BVH statistics (Table 2 row).
     pub fn tree_stats(&self) -> TreeStats {
         TreeStats::of(&self.bvh)
@@ -153,9 +188,15 @@ impl Bench {
 
     /// A [`SimSession`] over this bench's BVH and rays — the front door
     /// for runs needing option combinations the convenience methods
-    /// below don't cover.
+    /// below don't cover. A config with the default treelet budget and
+    /// formation policy runs on the bench's default assignment.
     pub fn session(&self, config: SimConfig) -> SimSession<'_> {
-        SimSession::new(&self.bvh, &self.rays, config)
+        let treelets = self.treelets_for(&config);
+        let session = SimSession::new(&self.bvh, &self.rays, config);
+        match treelets {
+            Some(t) => session.treelets(t),
+            None => session,
+        }
     }
 
     /// Runs the simulation under `config`.
@@ -175,7 +216,12 @@ impl Bench {
     /// instead of panicking on invalid configs, watchdog aborts, or
     /// uncovered BVHs.
     pub fn try_run(&self, config: &SimConfig) -> Result<SimResult, crate::SimError> {
-        SimSession::borrowed(&self.bvh, &self.rays, config).run()
+        let session = SimSession::borrowed(&self.bvh, &self.rays, config);
+        match self.treelets_for(config) {
+            Some(t) => session.treelets(t),
+            None => session,
+        }
+        .run()
     }
 
     /// Runs under `config` while collecting a telemetry time-series
@@ -275,6 +321,28 @@ mod tests {
         // but ray counts and tree stats always match.
         assert_eq!(a.rays, b.rays);
         assert_eq!(a.tree, b.tree);
+    }
+
+    #[test]
+    fn default_treelets_match_formation_and_leave_runs_unchanged() {
+        let bench = Bench::prepare(
+            SceneId::Wknd,
+            0.25,
+            Workload::new(WorkloadKind::Primary, 8, 8),
+        );
+        let fresh = TreeletAssignment::form(bench.bvh(), DEFAULT_TREELET_BYTES);
+        assert_eq!(bench.default_treelets(), &fresh);
+        for config in [
+            SimConfig::paper_treelet_prefetch(),
+            SimConfig::paper_treelet_prefetch().with_treelet_bytes(1024),
+        ] {
+            let reused = bench.try_run(&config).unwrap();
+            let formed = SimSession::new(bench.bvh(), bench.rays(), config.clone())
+                .run()
+                .unwrap();
+            assert_eq!(reused.state_digest, formed.state_digest);
+            assert_eq!(reused.treelet_count, formed.treelet_count);
+        }
     }
 
     #[test]

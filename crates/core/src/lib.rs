@@ -114,5 +114,7 @@ pub use traversal::{
     compile_trace, trace_ray, trace_ray_with, CompiledStep, RayTrace, TraceStep,
     TraversalAlgorithm, TraversalOptions, TraversalStats,
 };
-pub use treelet::{FormationPolicy, TreeletAssignment, DEFAULT_TREELET_BYTES};
+pub use treelet::{
+    FormationPolicy, TreeletAssignment, DEFAULT_TREELET_BYTES, TREELET_FORMATION_VERSION,
+};
 pub use workloads::{bounce_rays, bounce_rays_indexed, direction_coherence, BounceKind};

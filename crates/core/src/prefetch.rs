@@ -5,6 +5,7 @@
 //! prefetch heuristic, and pushes the treelet's cache lines into a
 //! prefetch queue that drains when the RT unit's memory scheduler is idle.
 
+use crate::prefetcher::WarpBufferView;
 use rt_gpu_sim::{ByteReader, ByteWriter, CountTable, CountVec, DecodeError, FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 
@@ -260,6 +261,25 @@ pub struct TreeletPrefetcher {
     staged: Option<(u64, Vote)>,
     next_sample_at: u64,
     stats: PrefetcherStats,
+    /// The last sampled `(chosen, full)` votes and the counts
+    /// [`version`](CountTable::version) they were computed from. A cache
+    /// of a pure function of the warp buffer, never encoded.
+    memo: Option<(u64, Option<Vote>, Option<Vote>)>,
+}
+
+/// What applying a vote would do (see [`TreeletPrefetcher::judge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// The duplicate-treelet register suppresses it.
+    Duplicate,
+    /// The popularity ratio is below the heuristic threshold.
+    BelowThreshold,
+    /// The treelet has no lines to fetch.
+    NoLines,
+    /// The queue cannot take the treelet's entries.
+    QueueFull,
+    /// Enqueue this many of the treelet's lines, front first.
+    Enqueue(usize),
 }
 
 impl TreeletPrefetcher {
@@ -297,6 +317,7 @@ impl TreeletPrefetcher {
             staged: None,
             next_sample_at: 0,
             stats: PrefetcherStats::default(),
+            memo: None,
         }
     }
 
@@ -416,51 +437,87 @@ impl TreeletPrefetcher {
         self.submit(now, chosen, full, mapping, treelet_lines, meta_line);
     }
 
+    /// The configured voter's vote and the full vote over `view`, in
+    /// that order. Reused from the last call while the warp buffer's
+    /// counts [`version`](CountTable::version) is unchanged: per-warp
+    /// counts only ever change together with the global ones, so an
+    /// unchanged version means both votes are unchanged.
+    pub fn votes(&mut self, view: &WarpBufferView<'_>) -> (Option<Vote>, Option<Vote>) {
+        let version = view.counts_version();
+        if let Some((at, chosen, full)) = self.memo {
+            if at == version {
+                return (chosen, full);
+            }
+        }
+        let full = view.full_vote();
+        let chosen = match self.voter {
+            VoterKind::Full => full,
+            VoterKind::PseudoTwoLevel => view.pseudo_vote(),
+        };
+        self.memo = Some((version, chosen, full));
+        (chosen, full)
+    }
+
+    /// Decides what applying `vote` does with `resident_rays` as the
+    /// popularity denominator and a `lines`-line treelet. Only
+    /// [`Verdict::Enqueue`] changes anything beyond a counter.
+    fn judge(&self, vote: Vote, resident_rays: u32, lines: usize, mapping: MappingMode) -> Verdict {
+        // Duplicate-treelet register (§4.1): never prefetch the same
+        // treelet twice in a row.
+        if self.last_prefetched == Some(vote.treelet) {
+            return Verdict::Duplicate;
+        }
+        let denominator = resident_rays.clamp(1, self.max_rays);
+        let ratio = vote.popularity as f32 / denominator as f32;
+        let take = match self.heuristic {
+            PrefetchHeuristic::Always => lines,
+            PrefetchHeuristic::Popularity(threshold) => {
+                if ratio < threshold {
+                    return Verdict::BelowThreshold;
+                }
+                lines
+            }
+            PrefetchHeuristic::Partial if lines == 0 => 0,
+            PrefetchHeuristic::Partial => ((lines as f32 * ratio).ceil() as usize).clamp(1, lines),
+        };
+        if take == 0 {
+            return Verdict::NoLines;
+        }
+        let entries_needed = match mapping {
+            MappingMode::Packed => take,
+            _ => take + 1,
+        };
+        if self.queue.len() + entries_needed > self.queue_capacity {
+            return Verdict::QueueFull;
+        }
+        Verdict::Enqueue(take)
+    }
+
+    /// Counts `n` suppressed applications with verdict `verdict`.
+    fn count_suppressed(&mut self, verdict: Verdict, n: u64) {
+        match verdict {
+            Verdict::Duplicate => self.stats.duplicate_suppressed += n,
+            Verdict::BelowThreshold => self.stats.threshold_suppressed += n,
+            Verdict::QueueFull => self.stats.queue_full_drops += n,
+            Verdict::NoLines | Verdict::Enqueue(_) => {}
+        }
+    }
+
     fn apply<F, M, L>(&mut self, vote: Vote, mapping: MappingMode, treelet_lines: &F, meta_line: &M)
     where
         F: Fn(u32) -> L,
         M: Fn(u32) -> u64,
         L: AsRef<[u64]>,
     {
-        // Duplicate-treelet register (§4.1): never prefetch the same
-        // treelet twice in a row.
-        if self.last_prefetched == Some(vote.treelet) {
-            self.stats.duplicate_suppressed += 1;
-            return;
-        }
-        let denominator = self.resident_rays.clamp(1, self.max_rays);
-        let ratio = vote.popularity as f32 / denominator as f32;
         let fetched = treelet_lines(vote.treelet);
         let all = fetched.as_ref();
-        let lines: &[u64] = match self.heuristic {
-            PrefetchHeuristic::Always => all,
-            PrefetchHeuristic::Popularity(threshold) => {
-                if ratio < threshold {
-                    self.stats.threshold_suppressed += 1;
-                    return;
-                }
-                all
-            }
-            PrefetchHeuristic::Partial => {
-                if all.is_empty() {
-                    all
-                } else {
-                    let take = ((all.len() as f32 * ratio).ceil() as usize).clamp(1, all.len());
-                    &all[..take]
-                }
+        let lines = match self.judge(vote, self.resident_rays, all.len(), mapping) {
+            Verdict::Enqueue(take) => &all[..take],
+            verdict => {
+                self.count_suppressed(verdict, 1);
+                return;
             }
         };
-        if lines.is_empty() {
-            return;
-        }
-        let entries_needed = match mapping {
-            MappingMode::Packed => lines.len(),
-            _ => lines.len() + 1,
-        };
-        if self.queue.len() + entries_needed > self.queue_capacity {
-            self.stats.queue_full_drops += 1;
-            return;
-        }
         self.stats.treelets_enqueued += 1;
         self.stats.lines_enqueued += lines.len() as u64;
         self.last_prefetched = Some(vote.treelet);
@@ -511,16 +568,97 @@ impl TreeletPrefetcher {
         self.queue.len()
     }
 
-    /// Cycle at which the currently staged decision will apply, if any
-    /// (used by the engine's idle-cycle skip to bound a fast-forward).
-    pub fn staged_ready_at(&self) -> Option<u64> {
-        self.staged.map(|(ready_at, _)| ready_at)
+    /// The first entry cycle `>= now` at which a warp-buffer sample can
+    /// fire: a staged decision blocks sampling until it applies.
+    fn first_sample_from(&self, now: u64) -> u64 {
+        match self.staged {
+            // The staged decision applies at `ready_at`, which unblocks
+            // sampling in the same cycle.
+            Some((ready_at, _)) => ready_at.max(self.next_sample_at),
+            None => now.max(self.next_sample_at),
+        }
     }
 
-    /// Earliest cycle at which the prefetcher wants a fresh warp-buffer
-    /// sample (used by the engine's idle-cycle skip).
-    pub fn next_sample_at(&self) -> u64 {
-        self.next_sample_at
+    /// Idle-skip bound: the earliest entry cycle `>= now` at which
+    /// [`decide`](crate::Prefetcher::decide) would change more than a
+    /// counter, if the warp buffer stays frozen as `view` — `None` when
+    /// every coming decision is a counter no-op.
+    ///
+    /// Over frozen counts every sample yields the same vote, so a
+    /// suppressed vote (duplicate treelet, below threshold, no lines,
+    /// queue too small for the treelet) stays suppressed. The bound is
+    /// the first decision that would enqueue: the staged vote's
+    /// `ready_at`, or the first sample applying the frozen vote.
+    pub(crate) fn idle_wake_at(&mut self, now: u64, view: &WarpBufferView<'_>) -> Option<u64> {
+        let mapping = view.mapping();
+        let lines = |t: u32| view.treelet_lines(t).len();
+        if let Some((ready_at, vote)) = self.staged {
+            let verdict = self.judge(vote, self.resident_rays, lines(vote.treelet), mapping);
+            if matches!(verdict, Verdict::Enqueue(_)) {
+                return Some(ready_at);
+            }
+        }
+        if !view.has_rays() {
+            return None;
+        }
+        let vote = self.votes(view).0?;
+        let resident = view.resident_rays().max(1);
+        match self.judge(vote, resident, lines(vote.treelet), mapping) {
+            Verdict::Enqueue(_) => Some(self.first_sample_from(now) + self.latency),
+            _ => None,
+        }
+    }
+
+    /// Applies in closed form the decisions of entry cycles
+    /// `now..until` over a frozen warp buffer `view`: the staged vote's
+    /// application, every sample's `decisions`, pseudo-voter and
+    /// suppression counts, the staged vote the last sample leaves, and
+    /// `next_sample_at`. The result equals calling
+    /// [`decide`](crate::Prefetcher::decide) once per cycle, provided
+    /// `until` is at most [`idle_wake_at`](Self::idle_wake_at).
+    pub(crate) fn skip_idle(&mut self, now: u64, until: u64, view: &WarpBufferView<'_>) {
+        let mapping = view.mapping();
+        let lines = |t: u32| view.treelet_lines(t).len();
+        let first = self.first_sample_from(now);
+        if let Some((ready_at, vote)) = self.staged {
+            if ready_at >= until {
+                return;
+            }
+            self.staged = None;
+            let verdict = self.judge(vote, self.resident_rays, lines(vote.treelet), mapping);
+            debug_assert!(!matches!(verdict, Verdict::Enqueue(_)));
+            self.count_suppressed(verdict, 1);
+        }
+        if !view.has_rays() || first >= until {
+            return;
+        }
+        let period = self.latency.max(1);
+        let samples = (until - 1 - first) / period + 1;
+        let last = first + (samples - 1) * period;
+        self.next_sample_at = last + period;
+        self.set_resident_rays(view.resident_rays());
+        let (chosen, full) = self.votes(view);
+        if self.voter == VoterKind::PseudoTwoLevel {
+            if let (Some(p), Some(f)) = (chosen, full) {
+                self.stats.pseudo_comparisons += samples;
+                if p.treelet == f.treelet {
+                    self.stats.pseudo_agreements += samples;
+                }
+            }
+        }
+        let Some(vote) = chosen else { return };
+        self.stats.decisions += samples;
+        let verdict = self.judge(vote, self.resident_rays, lines(vote.treelet), mapping);
+        if self.latency == 0 {
+            debug_assert!(!matches!(verdict, Verdict::Enqueue(_)));
+            self.count_suppressed(verdict, samples);
+        } else {
+            // Each sample's vote applies one period later, at the next
+            // sample; the last one is still staged at `until`.
+            debug_assert!(samples == 1 || !matches!(verdict, Verdict::Enqueue(_)));
+            self.count_suppressed(verdict, samples - 1);
+            self.staged = Some((last + self.latency, vote));
+        }
     }
 
     /// Activity counters.
@@ -598,6 +736,7 @@ impl TreeletPrefetcher {
             None
         };
         self.next_sample_at = r.take_u64()?;
+        self.memo = None;
         self.stats = PrefetcherStats {
             decisions: r.take_u64()?,
             treelets_enqueued: r.take_u64()?,

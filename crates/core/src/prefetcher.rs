@@ -22,6 +22,10 @@
 //!   one prefetch,
 //! - [`Prefetcher::observe_ray_retire`] — a ray completed (the hash
 //!   predictor records its path),
+//! - [`Prefetcher::idle_wake_at`] / [`Prefetcher::skip_idle`] — the
+//!   engine's idle-cycle skip asks how long the unit's decisions stay
+//!   counter no-ops over a frozen warp buffer, then applies them in
+//!   closed form,
 //! - [`Prefetcher::encode_state`] / [`Prefetcher::restore_state`] — the
 //!   RTSNAP checkpoint codec.
 
@@ -31,7 +35,6 @@ use crate::hashpath::{HashPathPrefetcher, HashPathStats};
 use crate::mta::{MtaPrefetcher, MtaStats};
 use crate::prefetch::{
     full_vote_counts, MappingMode, PrefetchEntry, PrefetcherStats, TreeletPrefetcher, Vote,
-    VoterKind,
 };
 use rt_gpu_sim::{ByteReader, ByteWriter, CountTable, CountVec, DecodeError};
 use std::fmt;
@@ -101,6 +104,13 @@ impl<'a> WarpBufferView<'a> {
     /// `true` if any resident ray reports a next treelet.
     pub fn has_rays(&self) -> bool {
         !self.counts_global.is_empty()
+    }
+
+    /// The change version of the per-treelet counts: while it is
+    /// unchanged, so are both votes (per-warp counts change only
+    /// together with the global ones).
+    pub fn counts_version(&self) -> u64 {
+        self.counts_global.version()
     }
 
     /// The cache lines of a treelet's nodes (front first).
@@ -210,17 +220,19 @@ pub trait Prefetcher {
     /// Entries waiting in the prefetch queue.
     fn queue_len(&self) -> usize;
 
-    /// The cycle at which a staged (latency-delayed) decision applies,
-    /// if one is pending — an idle-skip wake-up bound.
-    fn staged_ready_at(&self) -> Option<u64> {
+    /// Idle-skip bound: the earliest entry cycle `>= now` at which
+    /// [`Prefetcher::decide`] would change more than a counter if the
+    /// warp buffer stayed frozen as `view`, or `None` when no coming
+    /// decision would. The engine never skips past it.
+    fn idle_wake_at(&mut self, _now: u64, _view: &WarpBufferView<'_>) -> Option<u64> {
         None
     }
 
-    /// The next cycle at which [`Prefetcher::decide`] could act, if the
-    /// predictor samples on a schedule — an idle-skip wake-up bound.
-    fn next_decision_at(&self) -> Option<u64> {
-        None
-    }
+    /// Applies in closed form the [`Prefetcher::decide`] calls of entry
+    /// cycles `now..until` over the frozen `view`, exactly as calling
+    /// `decide` once per cycle would. The engine calls it only with
+    /// `until` at or before [`Prefetcher::idle_wake_at`].
+    fn skip_idle(&mut self, _now: u64, _until: u64, _view: &WarpBufferView<'_>) {}
 
     /// The treelet most recently prefetched, if the predictor tracks
     /// one (drives the OMR/PMR schedulers).
@@ -257,11 +269,7 @@ impl Prefetcher for TreeletPrefetcher {
             return;
         }
         self.set_resident_rays(view.resident_rays());
-        let full = view.full_vote();
-        let chosen = match self.voter() {
-            VoterKind::Full => full,
-            VoterKind::PseudoTwoLevel => view.pseudo_vote(),
-        };
+        let (chosen, full) = self.votes(view);
         self.submit(now, chosen, full, view.mapping(), lines, meta);
     }
 
@@ -277,12 +285,12 @@ impl Prefetcher for TreeletPrefetcher {
         TreeletPrefetcher::queue_len(self)
     }
 
-    fn staged_ready_at(&self) -> Option<u64> {
-        TreeletPrefetcher::staged_ready_at(self)
+    fn idle_wake_at(&mut self, now: u64, view: &WarpBufferView<'_>) -> Option<u64> {
+        TreeletPrefetcher::idle_wake_at(self, now, view)
     }
 
-    fn next_decision_at(&self) -> Option<u64> {
-        Some(self.next_sample_at())
+    fn skip_idle(&mut self, now: u64, until: u64, view: &WarpBufferView<'_>) {
+        TreeletPrefetcher::skip_idle(self, now, until, view);
     }
 
     fn last_prefetched_treelet(&self) -> Option<u32> {
@@ -490,12 +498,12 @@ impl Prefetcher for PrefetcherUnit {
         delegate!(self, p => Prefetcher::queue_len(p))
     }
 
-    fn staged_ready_at(&self) -> Option<u64> {
-        delegate!(self, p => Prefetcher::staged_ready_at(p))
+    fn idle_wake_at(&mut self, now: u64, view: &WarpBufferView<'_>) -> Option<u64> {
+        delegate!(self, p => Prefetcher::idle_wake_at(p, now, view))
     }
 
-    fn next_decision_at(&self) -> Option<u64> {
-        delegate!(self, p => p.next_decision_at())
+    fn skip_idle(&mut self, now: u64, until: u64, view: &WarpBufferView<'_>) {
+        delegate!(self, p => Prefetcher::skip_idle(p, now, until, view))
     }
 
     fn last_prefetched_treelet(&self) -> Option<u32> {
@@ -521,7 +529,7 @@ mod tests {
 
     fn view_fixture<'a>(
         counts: &'a CountTable,
-        per_warp: &'a dyn Fn(&mut dyn FnMut(&CountVec)),
+        per_warp: PerWarpVisitor<'a>,
         lines: &'a dyn Fn(u32) -> &'a [u64],
         meta: &'a dyn Fn(u32) -> u64,
     ) -> WarpBufferView<'a> {
@@ -580,9 +588,20 @@ mod tests {
         unit.observe_ray_retire(7, &[1, 2, 3]);
         Prefetcher::release_gated(&mut unit, vec![1]);
         assert_eq!(Prefetcher::queue_len(&unit), 0);
-        assert_eq!(unit.staged_ready_at(), None);
-        assert_eq!(unit.next_decision_at(), None);
         assert_eq!(unit.last_prefetched_treelet(), None);
+        let mut global = CountTable::with_key_capacity(4);
+        global.increment(1);
+        let per_warp = |_: &mut dyn FnMut(&CountVec)| {};
+        static NO_LINES: [u64; 0] = [];
+        let lines = |_t: u32| NO_LINES.as_slice();
+        let meta = |_t: u32| 0u64;
+        let view = view_fixture(&global, &per_warp, &lines, &meta);
+        assert_eq!(unit.idle_wake_at(0, &view), None);
+        unit.skip_idle(0, 100, &view);
+        assert_eq!(
+            unit.unit_stats(),
+            PrefetchUnitStats::Mta(MtaStats::default())
+        );
     }
 
     #[test]

@@ -17,15 +17,24 @@
 //! - scene id and detail factor (geometry),
 //! - workload kind, resolution, and seed (rays),
 //! - the BVH builder's `max_leaf_tris` (tree shape),
-//! - the artifact codec version (format).
+//! - the artifact codec version (format),
+//! - the treelet formation version (the rider's assignment, below).
 //!
 //! It deliberately excludes *budget-style knobs* that only affect how a
 //! prepared bench is later simulated — treelet byte budgets, prefetch
 //! configuration, scheduler policy — the same rule the rt-served store
-//! applies to its result identities. The artifact carries the
-//! default-budget treelet assignment as a rider section; a simulation
-//! sweeping other budgets re-forms in O(nodes), which is noise next to
-//! the SAH build.
+//! applies to its result identities.
+//!
+//! ## The treelet rider
+//!
+//! The artifact carries the default-budget treelet assignment as a rider
+//! section (`TRLT`), and a cache hit hands it to the [`Bench`]: every
+//! simulation at the default budget and formation policy runs on the
+//! decoded assignment instead of forming treelets again. A simulation
+//! sweeping other budgets forms its own in O(nodes). Because simulation
+//! trusts the rider, a change to formation must bump
+//! [`TREELET_FORMATION_VERSION`], which moves every key, so a stale
+//! rider is never read.
 //!
 //! ## Store rules (mirroring the rt-served store)
 //!
@@ -39,13 +48,14 @@
 //!   full, permissions) degrades to pass-through with a warning.
 
 use crate::experiments::Bench;
-use crate::treelet::{TreeletAssignment, DEFAULT_TREELET_BYTES};
+use crate::treelet::{TreeletAssignment, TREELET_FORMATION_VERSION};
 use rt_bvh::{BvhArtifact, BVH_ARTIFACT_VERSION, DEFAULT_MAX_LEAF_TRIS};
 use rt_geometry::Ray;
 use rt_gpu_sim::{fnv1a64, ByteReader, ByteWriter, DecodeError};
 use rt_scene::{SceneId, Workload, WorkloadKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Artifact rider section holding the generated workload rays.
 const RAYS_SECTION: u32 = u32::from_le_bytes(*b"RAYS");
@@ -84,6 +94,7 @@ pub fn prepare_cache_key(scene: SceneId, detail: f32, workload: &Workload) -> u6
     w.put_u32(workload.height);
     w.put_u64(workload.seed);
     w.put_u32(DEFAULT_MAX_LEAF_TRIS);
+    w.put_u32(TREELET_FORMATION_VERSION);
     fnv1a64(w.bytes())
 }
 
@@ -106,16 +117,16 @@ pub fn encode_prepared_bench(bench: &Bench, key: u64) -> Vec<u8> {
         rays.put_f32(r.t_max);
     }
     artifact.push_section(RAYS_SECTION, rays.into_bytes());
-    let assignment = TreeletAssignment::form(bench.bvh(), DEFAULT_TREELET_BYTES);
     let mut treelets = ByteWriter::new();
-    assignment.encode(&mut treelets);
+    bench.default_treelets().encode(&mut treelets);
     artifact.push_section(TREELET_SECTION, treelets.into_bytes());
     artifact.to_bytes()
 }
 
 /// Decodes an artifact written by [`encode_prepared_bench`] back into a
-/// ready-to-simulate [`Bench`] for `scene` plus its cached
-/// default-budget [`TreeletAssignment`], verifying the container
+/// ready-to-simulate [`Bench`] for `scene` plus a shared handle to its
+/// decoded default-budget [`TreeletAssignment`] (the one
+/// [`Bench::default_treelets`] returns), verifying the container
 /// (magic, version, checksum), the echoed content key, the tree's
 /// structural invariants, and the assignment's coverage of the tree.
 ///
@@ -127,7 +138,7 @@ pub fn decode_prepared_bench(
     scene: SceneId,
     key: u64,
     bytes: &[u8],
-) -> Result<(Bench, TreeletAssignment), DecodeError> {
+) -> Result<(Bench, Arc<TreeletAssignment>), DecodeError> {
     let artifact = BvhArtifact::from_bytes(bytes)?;
     if artifact.identity != key {
         return Err(DecodeError::malformed(format!(
@@ -160,10 +171,10 @@ pub fn decode_prepared_bench(
         .section(TREELET_SECTION)
         .ok_or_else(|| DecodeError::malformed("artifact has no treelet section"))?;
     let mut t = ByteReader::new(treelet_bytes);
-    let assignment = TreeletAssignment::decode(&mut t, artifact.bvh.node_count())?;
+    let assignment = Arc::new(TreeletAssignment::decode(&mut t, artifact.bvh.node_count())?);
     t.expect_end()?;
     Ok((
-        Bench::from_cached_parts(scene, artifact.bvh, rays),
+        Bench::from_cached_parts(scene, artifact.bvh, rays, Arc::clone(&assignment)),
         assignment,
     ))
 }
@@ -248,7 +259,7 @@ impl BvhCache {
             }
         };
         match decode_prepared_bench(scene, key, &bytes) {
-            Ok((bench, _assignment)) => {
+            Ok((bench, _)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(bench)
             }
@@ -370,8 +381,9 @@ mod tests {
         let key = 9;
         let bytes = encode_prepared_bench(&bench, key);
         let (decoded, assignment) = decode_prepared_bench(SceneId::Wknd, key, &bytes).unwrap();
-        let fresh = TreeletAssignment::form(decoded.bvh(), DEFAULT_TREELET_BYTES);
-        assert_eq!(assignment, fresh);
+        let fresh = TreeletAssignment::form(decoded.bvh(), crate::DEFAULT_TREELET_BYTES);
+        assert_eq!(*assignment, fresh);
+        assert_eq!(decoded.default_treelets(), &fresh);
     }
 
     #[test]

@@ -339,7 +339,7 @@ pub(crate) fn try_run_engine(
     if rays.is_empty() {
         return Err(SimError::EmptyInput { what: "ray" });
     }
-    let assigned = treelets.as_slices().iter().map(Vec::len).sum::<usize>();
+    let assigned = treelets.node_count();
     if bvh.node_count() != assigned {
         return Err(SimError::TreeletCoverage {
             nodes: bvh.node_count(),
@@ -351,7 +351,7 @@ pub(crate) fn try_run_engine(
         LayoutChoice::DepthFirst => MemoryImage::depth_first(bvh),
         LayoutChoice::TreeletPacked { extra_stride } => MemoryImage::treelet_packed(
             bvh,
-            treelets.as_slices(),
+            treelets.groups(),
             PackOptions {
                 slot_bytes: treelets.max_bytes(),
                 extra_stride,
@@ -447,8 +447,18 @@ pub(crate) fn try_run_engine(
                     }
                 }
             }
-            let mut seen = std::collections::HashSet::new();
-            lines.retain(|l| seen.insert(*l));
+            // Drop repeated lines, keeping first occurrences in order. A
+            // treelet spans a few dozen lines at most, so scanning the
+            // kept prefix beats hashing.
+            let mut kept = 0;
+            for i in 0..lines.len() {
+                let line = lines[i];
+                if !lines[..kept].contains(&line) {
+                    lines[kept] = line;
+                    kept += 1;
+                }
+            }
+            lines.truncate(kept);
             lines
         })
         .collect();
@@ -1087,10 +1097,11 @@ impl<'a> Engine<'a> {
     /// every iteration in between is a no-op except for three per-cycle
     /// integrations — the occupancy integral, the watchdog's
     /// `last_progress` tracking, and the checkpoint/telemetry epoch
-    /// boundaries — which are applied here in closed form (and the skip
-    /// is capped so no epoch boundary, watchdog deadline, or cycle-limit
-    /// observation falls inside the skipped range). The resulting
-    /// trajectory is bit-identical to single-stepping.
+    /// boundaries — and the prefetchers' counter-only decisions, which
+    /// are applied here in closed form (and the skip is capped so no
+    /// epoch boundary, watchdog deadline, or cycle-limit observation
+    /// falls inside the skipped range). The resulting trajectory is
+    /// bit-identical to single-stepping.
     fn try_skip_idle(&mut self, now: u64, ckpt_every: Option<u64>, telem_every: Option<u64>) {
         // Eligibility: nothing may be able to act at entry cycle `now`.
         // Occupied slots must have drained `ready` queues — a ready ray
@@ -1137,16 +1148,20 @@ impl<'a> Engine<'a> {
                     cand(w.ready_at);
                 }
             }
-            if let Some(u) = &s.unit {
-                if let Some(ready_at) = u.staged_ready_at() {
-                    cand(ready_at);
-                } else if !s.counts_global.is_empty() {
-                    // Sampling only fires with resident rays; counts are
-                    // frozen while idle.
-                    if let Some(t) = u.next_decision_at() {
-                        cand(t);
-                    }
-                }
+        }
+        // Prefetcher decisions over the frozen warp buffer: only the
+        // first one that would enqueue bounds the skip; the counter
+        // no-ops before it are applied in closed form below.
+        for s in &mut self.sms {
+            let wake = with_unit_view(
+                s,
+                self.mapping,
+                &self.treelet_lines,
+                &self.meta_lines,
+                |u, view| u.idle_wake_at(now, view),
+            );
+            if let Some(t) = wake.flatten() {
+                cand(t);
             }
         }
         // With no candidate the state is frozen: skip straight toward the
@@ -1186,6 +1201,17 @@ impl<'a> Engine<'a> {
             return;
         }
         self.mem.skip_idle_to(r);
+        for s in &mut self.sms {
+            with_unit_view(
+                s,
+                self.mapping,
+                &self.treelet_lines,
+                &self.meta_lines,
+                |u, view| {
+                    u.skip_idle(now, r, view);
+                },
+            );
+        }
         // Closed forms of the per-cycle integrations over the skipped
         // iterations (entry cycles now..r-1, observed cycles now+1..=r).
         self.occupancy_integral += self.occupied_slots as u64 * (r - now);
@@ -1530,32 +1556,19 @@ impl<'a> Engine<'a> {
         // Unified prefetcher step: let the unit observe the warp buffer
         // and decide (the treelet voter samples/votes here, §4.1), then
         // drain one queued entry when the memory scheduler is idle.
-        let treelet_lines = &self.treelet_lines;
-        let meta_lines = &self.meta_lines;
-        let mapping = self.mapping;
         let state = &mut self.sms[sm];
+        with_unit_view(
+            state,
+            self.mapping,
+            &self.treelet_lines,
+            &self.meta_lines,
+            |u, view| {
+                u.decide(now, view);
+            },
+        );
         let Some(unit) = state.unit.as_mut() else {
             return;
         };
-        {
-            let lines = |t: u32| treelet_lines[t as usize].as_slice();
-            let meta = |t: u32| meta_lines[t as usize];
-            let slots = &state.slots;
-            let per_warp = |f: &mut dyn FnMut(&CountVec)| {
-                for s in slots.iter().flatten() {
-                    f(&s.counts);
-                }
-            };
-            let view = WarpBufferView::new(
-                mapping,
-                state.active_rays as u32,
-                &state.counts_global,
-                &per_warp,
-                &lines,
-                &meta,
-            );
-            unit.decide(now, &view);
-        }
         if issued_demand {
             return;
         }
@@ -1719,6 +1732,35 @@ impl<'a> Engine<'a> {
         r.expect_end()?;
         Ok(())
     }
+}
+
+/// Calls `f` with the SM's prefetcher and a view of its warp buffer;
+/// `None` when the SM runs no prefetcher.
+fn with_unit_view<R>(
+    state: &mut SmState,
+    mapping: MappingMode,
+    treelet_lines: &[Vec<u64>],
+    meta_lines: &[u64],
+    f: impl FnOnce(&mut PrefetcherUnit, &WarpBufferView<'_>) -> R,
+) -> Option<R> {
+    let unit = state.unit.as_mut()?;
+    let lines = |t: u32| treelet_lines[t as usize].as_slice();
+    let meta = |t: u32| meta_lines[t as usize];
+    let slots = &state.slots;
+    let per_warp = |f: &mut dyn FnMut(&CountVec)| {
+        for s in slots.iter().flatten() {
+            f(&s.counts);
+        }
+    };
+    let view = WarpBufferView::new(
+        mapping,
+        state.active_rays as u32,
+        &state.counts_global,
+        &per_warp,
+        &lines,
+        &meta,
+    );
+    Some(f(unit, &view))
 }
 
 /// Serializes one SM's dynamic state (see [`Engine::encode_dynamic`] for

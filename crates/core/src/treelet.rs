@@ -15,6 +15,11 @@ use std::fmt;
 /// The paper's default maximum treelet size in bytes (512 B = 8 nodes).
 pub const DEFAULT_TREELET_BYTES: u64 = 512;
 
+/// Version of the formation algorithms. Cached preparation artifacts
+/// carry a formed assignment that simulation trusts, so the cache key
+/// includes this: bump it with any change to what formation produces.
+pub const TREELET_FORMATION_VERSION: u32 = 1;
+
 /// How nodes are ordered while greedily growing a treelet.
 ///
 /// The paper forms treelets breadth-first (§3.1); its future-work section
@@ -74,9 +79,14 @@ impl fmt::Display for FormationPolicy {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeletAssignment {
-    /// Treelet membership lists, in formation order. `treelets[g][0]` is
-    /// treelet `g`'s root node; members follow in breadth-first order.
-    treelets: Vec<Vec<u32>>,
+    /// Every treelet's members back to back, in treelet-id order: treelet
+    /// `g` is `members[starts[g]..starts[g + 1]]`, its root first, the
+    /// rest in formation order. One flat list rather than a list per
+    /// treelet keeps a retained assignment small and cheap to decode.
+    members: Vec<u32>,
+    /// Offset of each treelet in `members`, plus a trailing
+    /// `members.len()`.
+    starts: Vec<u32>,
     /// Treelet id of each node.
     of_node: Vec<u32>,
     /// Maximum treelet size in bytes used during formation.
@@ -141,13 +151,13 @@ impl TreeletAssignment {
         }
         let n = bvh.node_count();
         let mut of_node = vec![u32::MAX; n];
-        let mut treelets: Vec<Vec<u32>> = Vec::new();
+        let mut members: Vec<u32> = Vec::with_capacity(n);
+        let mut starts: Vec<u32> = vec![0];
         // pendingTreelets: roots of treelets not yet formed.
         let mut pending: VecDeque<u32> = VecDeque::new();
         pending.push_back(bvh.root());
         while let Some(root) = pending.pop_front() {
-            let id = treelets.len() as u32;
-            let mut members = Vec::new();
+            let id = (starts.len() - 1) as u32;
             let mut remaining = max_bytes;
             // Within-treelet work list. The pop discipline is the policy:
             // BFS pops the front (upper-level nodes land at the front of
@@ -186,11 +196,12 @@ impl TreeletAssignment {
                     pending.push_back(node);
                 }
             }
-            treelets.push(members);
+            starts.push(members.len() as u32);
         }
         debug_assert!(of_node.iter().all(|&t| t != u32::MAX));
         Ok(TreeletAssignment {
-            treelets,
+            members,
+            starts,
             of_node,
             max_bytes,
         })
@@ -202,8 +213,8 @@ impl TreeletAssignment {
     /// SoA mirror).
     pub(crate) fn encode(&self, w: &mut rt_gpu_sim::ByteWriter) {
         w.put_u64(self.max_bytes);
-        w.put_len(self.treelets.len());
-        for members in &self.treelets {
+        w.put_len(self.count());
+        for members in self.groups() {
             w.put_len(members.len());
             for &node in members {
                 w.put_u32(node);
@@ -228,11 +239,12 @@ impl TreeletAssignment {
             )));
         }
         let treelet_count = r.take_len(8)?;
-        let mut treelets = Vec::with_capacity(treelet_count);
+        let mut starts = Vec::with_capacity(treelet_count + 1);
+        starts.push(0);
+        let mut members = Vec::with_capacity(node_count);
         let mut of_node = vec![u32::MAX; node_count];
         for id in 0..treelet_count {
             let member_count = r.take_len(4)?;
-            let mut members = Vec::with_capacity(member_count);
             for _ in 0..member_count {
                 let node = r.take_u32()?;
                 let slot = of_node.get_mut(node as usize).ok_or_else(|| {
@@ -249,7 +261,7 @@ impl TreeletAssignment {
                 *slot = id as u32;
                 members.push(node);
             }
-            treelets.push(members);
+            starts.push(members.len() as u32);
         }
         if let Some(node) = of_node.iter().position(|&t| t == u32::MAX) {
             return Err(DecodeError::malformed(format!(
@@ -257,7 +269,8 @@ impl TreeletAssignment {
             )));
         }
         Ok(TreeletAssignment {
-            treelets,
+            members,
+            starts,
             of_node,
             max_bytes,
         })
@@ -265,7 +278,12 @@ impl TreeletAssignment {
 
     /// Number of treelets.
     pub fn count(&self) -> usize {
-        self.treelets.len()
+        self.starts.len() - 1
+    }
+
+    /// Number of nodes the treelets cover.
+    pub fn node_count(&self) -> usize {
+        self.members.len()
     }
 
     /// Treelet id of `node`.
@@ -283,12 +301,15 @@ impl TreeletAssignment {
     ///
     /// Panics if `id` is out of range.
     pub fn members(&self, id: u32) -> &[u32] {
-        &self.treelets[id as usize]
+        let g = id as usize;
+        &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 
-    /// The membership lists of all treelets, indexed by treelet id.
-    pub fn as_slices(&self) -> &[Vec<u32>] {
-        &self.treelets
+    /// The membership lists of all treelets, in treelet-id order.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        self.starts
+            .windows(2)
+            .map(|w| &self.members[w[0] as usize..w[1] as usize])
     }
 
     /// Byte budget treelets were formed with.
@@ -298,12 +319,12 @@ impl TreeletAssignment {
 
     /// Occupied bytes of treelet `id`.
     pub fn occupied_bytes(&self, id: u32) -> u64 {
-        self.treelets[id as usize].len() as u64 * NODE_SIZE_BYTES
+        self.members(id).len() as u64 * NODE_SIZE_BYTES
     }
 
     /// Mean fraction of the byte budget that treelets actually occupy.
     pub fn mean_occupancy(&self) -> f64 {
-        if self.treelets.is_empty() {
+        if self.count() == 0 {
             return 0.0;
         }
         let total: u64 = (0..self.count() as u32)

@@ -208,6 +208,10 @@ impl<V> IdWindow<V> {
 /// set — mirroring the old `HashMap` code, which removed zero entries —
 /// so the canonical sorted encoding of the nonzero pairs is byte-for-byte
 /// what `encode_counts` produced before.
+///
+/// Every mutating call bumps a change [`version`](CountTable::version),
+/// so a consumer can memoize a result computed from the counts (the
+/// treelet voter's majority vote) and recompute only after a change.
 #[derive(Debug, Clone, Default)]
 pub struct CountTable {
     counts: Vec<u32>,
@@ -216,6 +220,8 @@ pub struct CountTable {
     /// `pos[key]` = index of `key` in `nonzero` (valid only while
     /// `counts[key] > 0`).
     pos: Vec<u32>,
+    /// Bumped by every mutating call.
+    version: u64,
 }
 
 impl CountTable {
@@ -225,7 +231,14 @@ impl CountTable {
             counts: vec![0; keys],
             nonzero: Vec::new(),
             pos: vec![0; keys],
+            version: 0,
         }
+    }
+
+    /// The change version: equal versions of one table mean equal
+    /// counts. Not part of the table's contents (never encoded).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     fn ensure_key(&mut self, key: u32) {
@@ -238,6 +251,7 @@ impl CountTable {
 
     /// Adds one to `key`'s count.
     pub fn increment(&mut self, key: u32) {
+        self.version += 1;
         self.ensure_key(key);
         let k = key as usize;
         if self.counts[k] == 0 {
@@ -253,6 +267,7 @@ impl CountTable {
         if n == 0 {
             return;
         }
+        self.version += 1;
         self.ensure_key(key);
         let k = key as usize;
         if self.counts[k] == 0 {
@@ -269,6 +284,7 @@ impl CountTable {
     /// Panics in debug builds if the count is already zero (the caller
     /// tracks residency; a mismatch is a simulator bug).
     pub fn decrement(&mut self, key: u32) {
+        self.version += 1;
         let k = key as usize;
         debug_assert!(k < self.counts.len() && self.counts[k] > 0);
         self.counts[k] -= 1;
@@ -313,6 +329,7 @@ impl CountTable {
 
     /// Resets every count to zero, keeping capacity.
     pub fn clear(&mut self) {
+        self.version += 1;
         for &k in &self.nonzero {
             self.counts[k as usize] = 0;
         }
@@ -506,6 +523,29 @@ mod tests {
         assert_eq!(t.sorted_pairs(), vec![(7, 1)]);
         t.decrement(7);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn count_table_version_moves_on_every_mutation() {
+        let mut t = CountTable::default();
+        let mut last = t.version();
+        let mut bumped = |t: &CountTable| {
+            assert!(t.version() > last, "mutation left the version unchanged");
+            last = t.version();
+        };
+        t.increment(3);
+        bumped(&t);
+        t.add(3, 2);
+        bumped(&t);
+        t.decrement(3);
+        bumped(&t);
+        t.clear();
+        bumped(&t);
+        // Reads and the zero-count no-op leave it alone.
+        let v = t.version();
+        t.add(4, 0);
+        let _ = (t.get(3), t.sorted_pairs(), t.is_empty());
+        assert_eq!(t.version(), v);
     }
 
     #[test]

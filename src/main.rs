@@ -1227,7 +1227,7 @@ fn cmd_trace(options: &Options, out_path: &str) -> Result<(), Failure> {
         TraversalAlgorithm::BaselineDfs => MemoryImage::depth_first(&bvh),
         TraversalAlgorithm::TwoStackTreelet => MemoryImage::treelet_packed(
             &bvh,
-            treelets.as_slices(),
+            treelets.groups(),
             treelet_prefetching::bvh::PackOptions {
                 slot_bytes: options.treelet_bytes,
                 extra_stride: 0,

@@ -68,7 +68,7 @@ fn demand_access_conservation_across_configs() {
             treelet_prefetching::treelet::LayoutChoice::TreeletPacked { extra_stride } => {
                 MemoryImage::treelet_packed(
                     &bvh,
-                    treelets.as_slices(),
+                    treelets.groups(),
                     treelet_prefetching::bvh::PackOptions {
                         slot_bytes: config.treelet_bytes,
                         extra_stride,
@@ -112,7 +112,7 @@ fn treelet_packed_image_respects_formation() {
     let treelets = TreeletAssignment::form(&bvh, 512);
     let image = MemoryImage::treelet_packed(
         &bvh,
-        treelets.as_slices(),
+        treelets.groups(),
         treelet_prefetching::bvh::PackOptions::paper_default(),
     );
     // Every node's address upper bits identify its treelet slot.
