@@ -51,14 +51,13 @@
 
 use rt_bench::microbench::Group;
 use rt_bench::{
-    default_jobs_for, encode_prepared_bench, parse_detail_override, plan_schedule, Bench,
-    BvhCache, PrepareOptions, Schedule, SimConfig, SimResult, Suite,
+    default_jobs_for, encode_prepared_bench, parse_detail_override, plan_schedule, run_weighted,
+    Bench, BvhCache, PrepareOptions, Schedule, SimConfig, SimResult, Suite,
 };
 use rt_gpu_sim::fnv1a64;
 use rt_scene::{SceneId, Workload, WorkloadKind};
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Median and minimum of a set of repeated wall-time samples.
@@ -478,33 +477,22 @@ fn run_config(
 
 /// Runs the whole suite once under the cost-model scheduler, returning
 /// the results (suite order), the end-to-end wall time, and each cell's
-/// own wall time in milliseconds.
+/// own wall time in milliseconds. A typed error panics naming its scene;
+/// a panicking simulation is not retried (a retried cell's time would
+/// not be comparable) and propagates with its own message.
 fn run_suite_timed(suite: &Suite, config: &SimConfig, jobs: usize) -> (Vec<SimResult>, f64, Vec<f64>) {
-    let cell_ms = Mutex::new(vec![0.0f64; suite.benches().len()]);
     let t0 = Instant::now();
-    let outcomes = suite.run_all_robust_with_jobs(jobs, |b| {
+    let cells = run_weighted(jobs, &suite.scene_costs(), |i| {
+        let b = &suite.benches()[i];
         let c0 = Instant::now();
-        let result = b.try_run(config);
-        let ms = c0.elapsed().as_secs_f64() * 1e3;
-        let idx = suite
-            .benches()
-            .iter()
-            .position(|x| std::ptr::eq(x, b))
-            .expect("bench belongs to the suite");
-        cell_ms.lock().unwrap()[idx] = ms;
-        result
+        let result = b
+            .try_run(config)
+            .unwrap_or_else(|e| panic!("scene {} failed: {e}", b.scene()));
+        (result, c0.elapsed().as_secs_f64() * 1e3)
     });
     let wall = t0.elapsed().as_secs_f64() * 1e3;
-    let results = outcomes
-        .into_iter()
-        .map(|o| match o {
-            rt_bench::SceneOutcome::Completed { result, .. } => result,
-            rt_bench::SceneOutcome::Failed { scene, reason, .. } => {
-                panic!("scene {scene} failed: {reason}")
-            }
-        })
-        .collect();
-    (results, wall, cell_ms.into_inner().unwrap())
+    let (results, cell_ms) = cells.into_iter().unzip();
+    (results, wall, cell_ms)
 }
 
 fn wall_stats(samples: &[f64]) -> WallStats {

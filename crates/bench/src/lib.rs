@@ -1,26 +1,30 @@
 //! Shared experiment harness for reproducing the paper's tables and
 //! figures.
 //!
-//! Every `fig*`/`tab*` binary in `src/bin/` prepares the sixteen-scene
-//! suite once with [`Suite::prepare`], runs the configurations the
-//! corresponding paper experiment compares, and prints the same rows or
-//! series the paper reports (plus the paper's published numbers where
-//! available, for side-by-side comparison).
+//! The [`repro`] driver (the `repro` binary) runs the experiment
+//! [`table`](repro::table): it prepares each workload's sixteen-scene
+//! [`Suite`] once, simulates every distinct (workload, config) cell once,
+//! and hands the results to each figure's reducer, which prints the same
+//! rows or series the paper reports (plus the paper's published numbers
+//! where available, for side-by-side comparison).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod figures;
 pub mod microbench;
+pub mod repro;
 mod svg;
 
 use rt_scene::{SceneId, Workload};
+use std::io::{self, Write};
 use std::time::Instant;
 pub use svg::bar_chart;
 pub use treelet_rt::{
     catch_job_panic, default_jobs, default_jobs_for, encode_prepared_bench, geometric_mean,
-    plan_schedule, plan_schedule_with, prepare_cache_key, run_indexed, run_scheduled,
-    run_weighted, Bench, BvhCache, CheckpointOptions, Schedule, SimConfig, SimError, SimResult,
-    SimSession, Sweep, SweepOutcome, Telemetry, TelemetryOptions, TelemetrySample,
+    plan_schedule, plan_schedule_with, prepare_cache_key, run_scheduled, run_weighted, Bench,
+    BvhCache, CheckpointOptions, Schedule, SimConfig, SimError, SimResult, SimSession, Sweep,
+    SweepOutcome, Telemetry, TelemetryOptions, TelemetrySample,
 };
 
 /// Default scene detail for the experiment suite (full evaluation scale;
@@ -76,23 +80,6 @@ pub fn parse_detail_override(raw: Option<&str>) -> Result<Option<f32>, String> {
             "TREELET_DETAIL={trimmed} must be a finite positive number (parsed as {d})"
         )),
         Err(_) => Err(format!("TREELET_DETAIL={trimmed} is not a number")),
-    }
-}
-
-/// The suite detail to use: the `TREELET_DETAIL` override when it is
-/// set and valid, otherwise [`SUITE_DETAIL`]. An unparseable override
-/// warns on stderr (it used to be silently ignored — a typo'd
-/// `TREELET_DETAIL=0.1x` would quietly run the full-detail suite for
-/// minutes) and falls back to the default.
-pub fn suite_detail_from_env() -> f32 {
-    let raw = std::env::var("TREELET_DETAIL").ok();
-    match parse_detail_override(raw.as_deref()) {
-        Ok(Some(detail)) => detail,
-        Ok(None) => SUITE_DETAIL,
-        Err(why) => {
-            eprintln!("warning: ignoring invalid detail override: {why}; using {SUITE_DETAIL}");
-            SUITE_DETAIL
-        }
     }
 }
 
@@ -184,17 +171,14 @@ impl Suite {
             .collect()
     }
 
-    /// Prepares the suite with the paper's default workload (32×32
-    /// primary rays, 1 SPP) at the default detail, honoring the
-    /// `TREELET_DETAIL` environment variable for quick runs (invalid
-    /// values warn and fall back — see [`suite_detail_from_env`]).
-    pub fn prepare_default() -> Suite {
-        Suite::prepare(suite_detail_from_env(), Workload::paper_default())
-    }
-
     /// The prepared per-scene benches, in Table 2 order.
     pub fn benches(&self) -> &[Bench] {
         &self.benches
+    }
+
+    /// Takes the prepared benches, in Table 2 order.
+    pub fn into_benches(self) -> Vec<Bench> {
+        self.benches
     }
 
     /// Per-scene cost estimates in suite order — the inputs the
@@ -203,94 +187,14 @@ impl Suite {
         self.benches.iter().map(Bench::estimated_cost).collect()
     }
 
-    /// Runs `config` on every scene, in suite order. Scenes are sharded
-    /// across the machine's worker pool (each simulation itself is
-    /// deterministic and single-threaded, so results are identical to a
-    /// serial run). The pool never exceeds the scene count or the
-    /// machine's core count.
+    /// Runs `run` on every scene with at most `jobs` workers, recording
+    /// failures instead of propagating them: a scene whose runner
+    /// returns a [`SimError`] or panics is reported as
+    /// [`SceneOutcome::Failed`] while the other scenes' results survive.
+    /// A panicking scene is retried once (a typed error is
+    /// deterministic, so it is not); retries are surfaced on stderr and
+    /// in each outcome's `attempts` count.
     ///
-    /// # Panics
-    ///
-    /// Panics with the failing scene's recorded reason if any scene
-    /// fails; use [`Suite::run_all_robust`] to keep the survivors.
-    pub fn run_all(&self, config: &SimConfig) -> Vec<SimResult> {
-        self.run_all_parallel(config, default_jobs_for(self.benches.len()))
-    }
-
-    /// [`Suite::run_all`] with an explicit worker count. `jobs == 1`
-    /// runs the scenes serially inline; any worker count produces
-    /// bit-identical per-scene results — including their
-    /// [`state_digest`](SimResult::state_digest)s — in suite order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero, or with the failing scene's recorded
-    /// reason if any scene fails.
-    pub fn run_all_parallel(&self, config: &SimConfig, jobs: usize) -> Vec<SimResult> {
-        self.run_all_robust_with_jobs(jobs, |b| b.try_run(config))
-            .into_iter()
-            .map(|outcome| match outcome {
-                SceneOutcome::Completed { result, .. } => result,
-                SceneOutcome::Failed { scene, reason, .. } => {
-                    panic!("scene {scene} failed: {reason}")
-                }
-            })
-            .collect()
-    }
-
-    /// Runs `config` on every scene, recording failures instead of
-    /// propagating them: a scene that returns a [`SimError`] or panics is
-    /// reported as [`SceneOutcome::Failed`] while the other scenes'
-    /// results survive. A panicking scene is retried once (a typed error
-    /// is deterministic, so it is not).
-    // A 16-scene sweep makes the `SimError` payload size irrelevant.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust(&self, config: &SimConfig) -> Vec<SceneOutcome> {
-        self.run_all_robust_with(|b| b.try_run(config))
-    }
-
-    /// [`Suite::run_all_robust`] with crash-safe checkpointing: each
-    /// scene checkpoints into `dir/<scene>.rtsnap` (with a digest log
-    /// alongside) every `every` cycles and resumes from its checkpoint
-    /// when one is present, so a killed sweep picks up mid-scene instead
-    /// of starting over. Stale checkpoints from other runs are discarded
-    /// (see [`Bench::try_run_resumable`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from creating `dir` (as its `Display` string)
-    /// before any scene runs; per-scene failures are reported in the
-    /// outcomes as usual.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust_resumable(
-        &self,
-        config: &SimConfig,
-        dir: &std::path::Path,
-        every: u64,
-    ) -> Result<Vec<SceneOutcome>, String> {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("could not create checkpoint dir {}: {e}", dir.display()))?;
-        Ok(self.run_all_robust_with(|b| {
-            let slug = b.scene().name().to_ascii_lowercase();
-            let opts = CheckpointOptions::new(every, dir.join(format!("{slug}.rtsnap")))
-                .with_digest_log(dir.join(format!("{slug}.digests")));
-            b.try_run_resumable(config, &opts)
-        }))
-    }
-
-    /// [`Suite::run_all_robust`] over an arbitrary per-scene runner —
-    /// lets experiment binaries sweep per-scene configs while keeping the
-    /// same isolation guarantees. Retries are surfaced on stderr and in
-    /// each outcome's `attempts` count.
-    #[allow(clippy::result_large_err)]
-    pub fn run_all_robust_with<F>(&self, run: F) -> Vec<SceneOutcome>
-    where
-        F: Fn(&Bench) -> Result<SimResult, SimError> + Sync,
-    {
-        self.run_all_robust_with_jobs(default_jobs_for(self.benches.len()), run)
-    }
-
-    /// [`Suite::run_all_robust_with`] with an explicit worker count.
     /// Scenes are scheduled by the cost model ([`run_weighted`]): each
     /// scene's estimated cost is its BVH node count × ray count, cheap
     /// scenes run inline on the caller's thread, expensive ones are
@@ -298,7 +202,10 @@ impl Suite {
     /// count is clamped to the machine's core count — a 16-scene suite
     /// on a 4-core box runs 4 simulations at a time instead of
     /// oversubscribing. Outcomes come back in suite order regardless of
-    /// which scene finished first.
+    /// which scene finished first, and any worker count produces
+    /// bit-identical per-scene results — including their
+    /// [`state_digest`](SimResult::state_digest)s (each simulation is
+    /// deterministic and single-threaded).
     ///
     /// # Panics
     ///
@@ -347,7 +254,8 @@ impl Suite {
     }
 }
 
-/// What happened to one scene of a [`Suite::run_all_robust`] sweep.
+/// What happened to one scene of a [`Suite::run_all_robust_with_jobs`]
+/// sweep.
 // One outcome per scene: the size gap between a full `SimResult` and a
 // failure record doesn't matter at this cardinality.
 #[allow(clippy::large_enum_variant)]
@@ -423,7 +331,6 @@ pub fn write_csv(
     columns: &[&str],
     rows: &[(SceneId, Vec<f64>)],
 ) -> std::io::Result<std::path::PathBuf> {
-    use std::io::Write;
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.csv", slugify(title)));
     let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
@@ -442,42 +349,53 @@ pub fn write_csv(
     Ok(path)
 }
 
-/// Prints a table: a header row, one row per scene, and (optionally) a
-/// geometric-mean row, matching how the paper reports per-scene series.
-/// When the `TREELET_CSV_DIR` environment variable is set, the table is
-/// also written there as CSV for plotting.
-pub fn print_scene_table(title: &str, columns: &[&str], rows: &[(SceneId, Vec<f64>)], gmean: bool) {
+/// Prints a table to `out`: a header row, one row per scene, and
+/// (optionally) a geometric-mean row, matching how the paper reports
+/// per-scene series. When the `TREELET_CSV_DIR` environment variable is
+/// set, the table is also written there as CSV for plotting.
+///
+/// # Errors
+///
+/// Returns any I/O error from writing to `out`.
+pub fn print_scene_table(
+    out: &mut dyn Write,
+    title: &str,
+    columns: &[&str],
+    rows: &[(SceneId, Vec<f64>)],
+    gmean: bool,
+) -> io::Result<()> {
     if let Ok(dir) = std::env::var("TREELET_CSV_DIR") {
         match write_csv(std::path::Path::new(&dir), title, columns, rows) {
             Ok(path) => eprintln!("csv written: {}", path.display()),
             Err(e) => eprintln!("csv write failed: {e}"),
         }
     }
-    println!("\n== {title} ==");
-    print!("{:<7}", "Scene");
+    writeln!(out, "\n== {title} ==")?;
+    write!(out, "{:<7}", "Scene")?;
     for c in columns {
-        print!(" {c:>14}");
+        write!(out, " {c:>14}")?;
     }
-    println!();
+    writeln!(out)?;
     for (scene, cells) in rows {
-        print!("{:<7}", scene.name());
+        write!(out, "{:<7}", scene.name())?;
         for v in cells {
-            print!(" {v:>14.4}");
+            write!(out, " {v:>14.4}")?;
         }
-        println!();
+        writeln!(out)?;
     }
     if gmean && !rows.is_empty() {
-        print!("{:<7}", "GMean");
+        write!(out, "{:<7}", "GMean")?;
         for col in 0..columns.len() {
             let vals: Vec<f64> = rows.iter().map(|(_, cells)| cells[col]).collect();
             if vals.iter().all(|&v| v > 0.0) {
-                print!(" {:>14.4}", geometric_mean(&vals));
+                write!(out, " {:>14.4}", geometric_mean(&vals))?;
             } else {
-                print!(" {:>14}", "-");
+                write!(out, " {:>14}", "-")?;
             }
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 /// Formats a speedup as the percentage the paper quotes (`1.321` →
@@ -512,6 +430,18 @@ mod tests {
             let err = parse_detail_override(Some(bad)).unwrap_err();
             assert!(err.contains(bad.trim()), "{bad:?} -> {err}");
         }
+    }
+
+    /// `config` on every scene with `jobs` workers, in suite order.
+    fn run_suite(suite: &Suite, config: &SimConfig, jobs: usize) -> Vec<SimResult> {
+        suite
+            .run_all_robust_with_jobs(jobs, |b| b.try_run(config))
+            .into_iter()
+            .map(|o| match o {
+                SceneOutcome::Completed { result, .. } => result,
+                SceneOutcome::Failed { scene, reason, .. } => panic!("{scene} failed: {reason}"),
+            })
+            .collect()
     }
 
     /// Per-bench serialized artifact bytes — the bit-identity oracle
@@ -560,8 +490,8 @@ mod tests {
         // And the acceptance-level oracle: simulation state digests are
         // bit-identical regardless of how the suite was prepared.
         let config = SimConfig::paper_baseline();
-        let from_cold = cold.run_all_parallel(&config, 1);
-        let from_warm = warm.run_all_parallel(&config, 4);
+        let from_cold = run_suite(&cold, &config, 1);
+        let from_warm = run_suite(&warm, &config, 4);
         for (a, b) in from_cold.iter().zip(&from_warm) {
             assert_eq!(a.state_digest, b.state_digest);
             assert_eq!(a.cycles, b.cycles);
@@ -597,8 +527,8 @@ mod tests {
         // yields the serial run's per-scene digests, in suite order.
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_treelet_prefetch();
-        let serial = suite.run_all_parallel(&config, 1);
-        let parallel = suite.run_all_parallel(&config, 4);
+        let serial = run_suite(&suite, &config, 1);
+        let parallel = run_suite(&suite, &config, 4);
         assert_eq!(serial.len(), SceneId::ALL.len());
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
@@ -614,7 +544,7 @@ mod tests {
         // still report results.
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
         let config = SimConfig::paper_baseline();
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_all_robust_with_jobs(2, |b| {
             if b.scene() == SceneId::Ship {
                 panic!("injected fault");
             }
@@ -651,7 +581,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let mut bad = SimConfig::paper_baseline();
         bad.num_sms = 0;
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_all_robust_with_jobs(2, |b| {
             calls.fetch_add(1, Ordering::SeqCst);
             b.try_run(&bad)
         });
@@ -673,7 +603,7 @@ mod tests {
         let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 2, 2));
         let config = SimConfig::paper_baseline();
         let failed_once: Mutex<HashSet<SceneId>> = Mutex::new(HashSet::new());
-        let outcomes = suite.run_all_robust_with(|b| {
+        let outcomes = suite.run_all_robust_with_jobs(2, |b| {
             if failed_once.lock().unwrap().insert(b.scene()) {
                 panic!("transient");
             }
@@ -686,53 +616,34 @@ mod tests {
     }
 
     #[test]
-    fn resumable_sweep_checkpoints_and_reruns_identically() {
-        let suite = Suite::prepare(0.05, Workload::new(rt_scene::WorkloadKind::Primary, 4, 4));
-        let config = SimConfig::paper_treelet_prefetch();
-        let dir = std::env::temp_dir().join(format!(
-            "rt_bench_resumable_sweep_{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let first = suite
-            .run_all_robust_resumable(&config, &dir, 2_000)
-            .unwrap();
-        assert!(first.iter().all(|o| o.is_completed()));
-        // Every scene opened its digest log; scenes that ran past the
-        // first epoch also left a checkpoint behind.
-        let mut checkpoints = 0;
-        for b in suite.benches() {
-            let slug = b.scene().name().to_ascii_lowercase();
-            assert!(dir.join(format!("{slug}.digests")).exists(), "{slug}");
-            checkpoints += usize::from(dir.join(format!("{slug}.rtsnap")).exists());
-        }
-        assert!(checkpoints > 0, "no scene reached its first epoch");
-        // A second sweep resumes from the left-over final checkpoints,
-        // replays each scene's tail, and lands on the same state.
-        let second = suite
-            .run_all_robust_resumable(&config, &dir, 2_000)
-            .unwrap();
-        for (a, b) in first.iter().zip(&second) {
-            let (a, b) = (a.result().unwrap(), b.result().unwrap());
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn print_scene_table_smoke() {
-        // Printing must not panic on normal and empty row sets.
+    fn print_scene_table_formats_rows_and_gmean() {
+        let mut out = Vec::new();
         print_scene_table(
+            &mut out,
             "test",
             &["a", "b"],
             &[
                 (SceneId::Wknd, vec![1.0, 2.0]),
-                (SceneId::Ship, vec![0.5, 4.0]),
+                (SceneId::Ship, vec![0.5, 0.0]),
             ],
             true,
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "");
+        assert_eq!(lines[1], "== test ==");
+        assert_eq!(
+            lines[3],
+            format!("{:<7} {:>14.4} {:>14.4}", "WKND", 1.0, 2.0)
         );
-        print_scene_table("empty", &["a"], &[], true);
+        // A column holding a non-positive value has no geometric mean.
+        assert_eq!(
+            lines[5],
+            format!("{:<7} {:>14.4} {:>14}", "GMean", (0.5f64).sqrt(), "-")
+        );
+        let mut empty = Vec::new();
+        print_scene_table(&mut empty, "empty", &["a"], &[], true).unwrap();
+        assert_eq!(String::from_utf8(empty).unwrap().lines().count(), 3);
     }
 }
-

@@ -5,15 +5,25 @@
 //! leave its own distinguishable fingerprint on the suite, so a silent
 //! mis-dispatch (two selectors driving the same engine path) cannot pass.
 //!
-//! CI runs this at smoke detail; the `fig08_prior_work` binary runs the
-//! same cells at full scale.
+//! CI runs this at smoke detail; `repro fig08` runs the same cells at
+//! full scale.
 
-use rt_bench::Suite;
+use rt_bench::{default_jobs_for, Suite};
 use rt_scene::{Workload, WorkloadKind};
 use treelet_rt::{PrefetchConfig, SimConfig, SimResult};
 
-fn digests(results: &[SimResult]) -> Vec<(u64, u64)> {
-    results.iter().map(|r| (r.cycles, r.state_digest)).collect()
+/// `config` on every scene, as (cycles, state digest) in suite order.
+#[allow(clippy::result_large_err)]
+fn digests(suite: &Suite, config: &SimConfig) -> Vec<(u64, u64)> {
+    let jobs = default_jobs_for(suite.benches().len());
+    suite
+        .run_all_robust_with_jobs(jobs, |b| b.try_run(config))
+        .iter()
+        .map(|o| {
+            let r: &SimResult = o.result().expect("every scene completes");
+            (r.cycles, r.state_digest)
+        })
+        .collect()
 }
 
 #[test]
@@ -37,8 +47,8 @@ fn bakeoff_suite_is_rerun_stable_and_prefetchers_are_distinct() {
     ];
     let mut fingerprints = Vec::new();
     for (name, config) in &configs {
-        let first = digests(&suite.run_all(config));
-        let second = digests(&suite.run_all(config));
+        let first = digests(&suite, config);
+        let second = digests(&suite, config);
         assert_eq!(
             first, second,
             "{name}: suite digests changed between identical reruns"

@@ -124,12 +124,6 @@ impl PrefetchConfig {
         }
     }
 
-    /// The paper's default treelet prefetcher.
-    #[deprecated(note = "use PrefetchConfig::treelet()")]
-    pub fn treelet_default() -> Self {
-        PrefetchConfig::treelet()
-    }
-
     /// `true` if any prefetcher is active.
     pub fn is_enabled(&self) -> bool {
         !matches!(self, PrefetchConfig::None)

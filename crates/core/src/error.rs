@@ -3,8 +3,7 @@
 //! Every way a simulation can refuse to run or fail to make progress is
 //! enumerated here, so callers (the CLI, the `Bench` sweep harness,
 //! scripted experiments) can react per cause instead of parsing panic
-//! strings. The legacy [`simulate`](crate::simulate) entry points remain
-//! panicking wrappers whose messages are these errors' `Display` output.
+//! strings.
 
 use crate::config::LayoutChoice;
 use crate::prefetch::MappingMode;
@@ -141,9 +140,7 @@ impl fmt::Display for ProgressSnapshot {
 
 /// Why a simulation could not produce a result.
 ///
-/// Returned by [`try_simulate`](crate::try_simulate) and friends; the
-/// panicking [`simulate`](crate::simulate) wrappers panic with the
-/// `Display` form.
+/// Returned by every [`SimSession`](crate::SimSession) run method.
 #[derive(Debug)]
 pub enum SimError {
     /// The configuration failed validation.
@@ -226,8 +223,7 @@ impl SimError {
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The wording of the first three arms is load-bearing: the
-        // panicking `simulate` wrappers surface these strings, and
+        // The wording of the first three arms is load-bearing:
         // long-standing callers match on the substrings.
         match self {
             SimError::Config(e) => write!(f, "invalid simulation config: {e}"),

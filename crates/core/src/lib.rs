@@ -91,19 +91,11 @@ pub use prepare::{decode_prepared_bench, encode_prepared_bench, prepare_cache_ke
 pub use rt_gpu_sim::DecodeError;
 pub use runner::{
     catch_job_panic, default_jobs, default_jobs_for, panic_message, plan_schedule,
-    plan_schedule_with, run_indexed, run_scheduled, run_weighted, Schedule, Sweep, SweepOutcome,
+    plan_schedule_with, run_scheduled, run_weighted, Schedule, Sweep, SweepOutcome,
     CHUNK_MIN_COST, INLINE_COST,
 };
 pub use session::SimSession;
 pub use sim::SimResult;
-// The legacy free functions stay exported (and deprecated) so existing
-// callers keep compiling while they migrate to `SimSession`.
-#[allow(deprecated)]
-pub use sim::{
-    simulate, simulate_batches, simulate_with_treelets, try_resume, try_simulate,
-    try_simulate_batches, try_simulate_checkpointed, try_simulate_with_telemetry,
-    try_simulate_with_treelets,
-};
 pub use snapshot::{
     first_divergence, parse_digest_log, read_checkpoint, read_digest_log, write_atomic,
     Checkpoint, DigestRecord, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -15,10 +15,8 @@
 //! - **`jobs == 1` is literally serial** — the closure runs inline on
 //!   the caller's thread; no worker threads are spawned.
 //!
-//! Two pools are provided. [`run_indexed`] is the legacy uniform-cost
-//! pool: workers claim one index at a time from an atomic counter, which
-//! is fine when every job costs about the same. [`run_weighted`] is the
-//! cost-model scheduler used by [`Sweep`] and the `rt-bench` suite: each
+//! The pool is [`run_weighted`], the cost-model scheduler used by
+//! [`Sweep`] and the `rt-bench` suite: each
 //! cell carries an estimated cost (BVH node count × ray count), cheap
 //! cells run inline on the caller's thread, expensive cells are sorted
 //! longest-first and claimed in cost-weighted chunks, and the worker
@@ -32,6 +30,7 @@ use crate::error::SimError;
 use crate::experiments::Bench;
 use crate::sim::SimResult;
 use rt_scene::SceneId;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -63,64 +62,6 @@ pub fn default_jobs() -> usize {
 /// with five of them idle. Always at least 1, even for zero cells.
 pub fn default_jobs_for(cells: usize) -> usize {
     default_jobs().min(cells).max(1)
-}
-
-/// Runs `run(0..count)` across `jobs` workers and returns the results in
-/// index order.
-///
-/// Workers claim indices from a shared atomic counter (dynamic load
-/// balancing: a slow job never stalls the queue behind it) and collect
-/// `(index, result)` pairs privately; the pairs are merged and sorted
-/// after the scope joins, so output order is independent of completion
-/// order. With `jobs == 1` the closure runs inline on the caller's
-/// thread — byte-for-byte today's serial behaviour.
-///
-/// This is the *uniform-cost* pool: every index is assumed equally
-/// expensive. When per-job cost estimates exist, [`run_weighted`]
-/// schedules better.
-///
-/// # Panics
-///
-/// Panics if `jobs` is zero, and resumes the panic of any `run` call
-/// that panics (callers wanting per-job isolation wrap `run` in
-/// `catch_unwind`, as [`Suite::run_all_robust_with`] does in `rt-bench`).
-pub fn run_indexed<T, F>(jobs: usize, count: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(jobs > 0, "need at least one worker");
-    if jobs == 1 || count <= 1 {
-        return (0..count).map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (next, run) = (&next, &run);
-    let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs.min(count))
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        mine.push((i, run(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| {
-                w.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    indexed.sort_by_key(|&(i, _)| i);
-    indexed.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Cells estimated cheaper than this (in [`Bench::estimated_cost`]
@@ -386,7 +327,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// message, instead of unwinding through the worker pool and killing
 /// every sibling job's results.
 ///
-/// This is the robust-path complement to [`run_indexed`]'s
+/// This is the robust-path complement to [`run_weighted`]'s
 /// resume-unwind behaviour: sweeps and suite harnesses wrap each cell's
 /// runner in `catch_job_panic` so one poisoned cell is reported as a
 /// typed per-cell error while the rest of the grid completes.
@@ -418,7 +359,10 @@ pub struct SweepOutcome {
 }
 
 /// A (scene × config) sweep grid: prepared benches crossed with labeled
-/// configurations, run cell-by-cell across a worker pool.
+/// configurations, run cell-by-cell across a worker pool. A config runs
+/// on every bench ([`Sweep::with_config`]) or on a contiguous range of
+/// them ([`Sweep::with_config_on`]), so benches prepared for different
+/// workloads can share one grid and one schedule.
 ///
 /// # Examples
 ///
@@ -442,6 +386,8 @@ pub struct SweepOutcome {
 pub struct Sweep {
     benches: Vec<Bench>,
     configs: Vec<(Arc<str>, SimConfig)>,
+    /// The bench rows each config runs on, parallel to `configs`.
+    rows: Vec<Range<usize>>,
 }
 
 impl Sweep {
@@ -450,12 +396,35 @@ impl Sweep {
         Sweep {
             benches,
             configs: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
-    /// Adds a labeled configuration column to the grid.
-    pub fn with_config(mut self, label: impl Into<Arc<str>>, config: SimConfig) -> Sweep {
+    /// Adds a labeled configuration column to the grid, run on every
+    /// bench.
+    pub fn with_config(self, label: impl Into<Arc<str>>, config: SimConfig) -> Sweep {
+        let all = 0..self.benches.len();
+        self.with_config_on(label, config, all)
+    }
+
+    /// Adds a labeled configuration run only on the benches in `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the last bench.
+    pub fn with_config_on(
+        mut self,
+        label: impl Into<Arc<str>>,
+        config: SimConfig,
+        rows: Range<usize>,
+    ) -> Sweep {
+        assert!(
+            rows.end <= self.benches.len(),
+            "rows {rows:?} outside the sweep's {} benches",
+            self.benches.len()
+        );
         self.configs.push((label.into(), config));
+        self.rows.push(rows);
         self
     }
 
@@ -471,7 +440,17 @@ impl Sweep {
 
     /// Number of (scene, config) cells in the grid.
     pub fn cell_count(&self) -> usize {
-        self.benches.len() * self.configs.len()
+        self.rows.iter().map(ExactSizeIterator::len).sum()
+    }
+
+    /// Every cell as a (config index, bench index) pair, in grid
+    /// (config-major) order.
+    fn cells(&self) -> Vec<(usize, usize)> {
+        self.rows
+            .iter()
+            .enumerate()
+            .flat_map(|(c, rows)| rows.clone().map(move |b| (c, b)))
+            .collect()
     }
 
     /// Per-cell cost estimates in grid (config-major) order, from each
@@ -479,14 +458,12 @@ impl Sweep {
     /// scheduler plans with.
     pub fn cell_costs(&self) -> Vec<u64> {
         let per_bench: Vec<u64> = self.benches.iter().map(Bench::estimated_cost).collect();
-        (0..self.cell_count())
-            .map(|i| per_bench[i % per_bench.len().max(1)])
-            .collect()
+        self.cells().iter().map(|&(_, b)| per_bench[b]).collect()
     }
 
     /// Runs every (scene, config) cell under the cost-model scheduler
     /// (see [`run_weighted`]) with at most `jobs` workers, returning
-    /// outcomes in config-major order (all scenes of the first config,
+    /// outcomes in config-major order (all rows of the first config,
     /// then the second, …) regardless of completion order. Each cell is
     /// an independent single-threaded simulation, so every result —
     /// including its [`state_digest`](crate::SimResult::state_digest) —
@@ -500,11 +477,12 @@ impl Sweep {
     ///
     /// Panics if `jobs` is zero.
     pub fn run_parallel(&self, jobs: usize) -> Vec<SweepOutcome> {
-        let per_config = self.benches.len();
+        let cells = self.cells();
         let costs = self.cell_costs();
         run_weighted(jobs, &costs, |i| {
-            let (label, config) = &self.configs[i / per_config];
-            let bench = &self.benches[i % per_config];
+            let (c, b) = cells[i];
+            let (label, config) = &self.configs[c];
+            let bench = &self.benches[b];
             SweepOutcome {
                 label: Arc::clone(label),
                 scene: bench.scene(),
@@ -521,20 +499,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn run_indexed_handles_empty_and_serial() {
-        let none: Vec<usize> = run_indexed(4, 0, |i| i);
+    fn run_weighted_handles_empty_and_serial() {
+        let none: Vec<usize> = run_weighted(4, &[], |i| i);
         assert!(none.is_empty());
-        let serial: Vec<usize> = run_indexed(1, 5, |i| i * 2);
+        let serial: Vec<usize> = run_weighted(1, &[10_000_000; 5], |i| i * 2);
         assert_eq!(serial, vec![0, 2, 4, 6, 8]);
     }
 
     #[test]
-    fn run_indexed_preserves_order_under_a_slow_first_job() {
+    fn run_weighted_preserves_order_under_a_slow_first_job() {
         // The first job sleeps while the others race ahead; results must
         // still come back in index order, and every index must run
         // exactly once.
         let calls = AtomicUsize::new(0);
-        let out: Vec<usize> = run_indexed(4, 16, |i| {
+        let out: Vec<usize> = run_weighted(4, &[10_000_000; 16], |i| {
             calls.fetch_add(1, Ordering::SeqCst);
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -546,21 +524,21 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_with_more_workers_than_jobs() {
-        let out: Vec<usize> = run_indexed(8, 3, |i| i + 1);
+    fn run_weighted_with_more_workers_than_jobs() {
+        let out: Vec<usize> = run_weighted(8, &[10_000_000; 3], |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "need at least one worker")]
-    fn run_indexed_rejects_zero_workers() {
-        let _ = run_indexed(0, 1, |i| i);
+    fn run_weighted_rejects_zero_workers() {
+        let _ = run_weighted(0, &[1], |i| i);
     }
 
     #[test]
     #[should_panic(expected = "job 2 exploded")]
-    fn run_indexed_propagates_worker_panics() {
-        let _ = run_indexed(2, 4, |i| {
+    fn run_weighted_propagates_worker_panics() {
+        let _ = run_weighted(2, &[10_000_000; 4], |i| {
             if i == 2 {
                 panic!("job 2 exploded");
             }
@@ -832,5 +810,51 @@ mod tests {
             outcomes[1].result,
             Err(SimError::Config(_))
         ));
+    }
+
+    #[test]
+    fn sweep_configs_can_cover_a_subset_of_rows() {
+        // One grid, two configs on disjoint bench ranges: only the
+        // listed cells run, in config-major order, with the digests a
+        // full-grid run gives for the same (bench, config) pairs.
+        let full = two_scene_sweep();
+        let full_digests: Vec<u64> = full
+            .run_parallel(1)
+            .into_iter()
+            .map(|c| c.result.expect("cell completes").state_digest)
+            .collect();
+        let workload = Workload::new(WorkloadKind::Primary, 4, 4);
+        let partial = Sweep::new(vec![
+            Bench::prepare(SceneId::Wknd, 0.1, workload),
+            Bench::prepare(SceneId::Car, 0.1, workload),
+        ])
+        .with_config_on("baseline", SimConfig::paper_baseline(), 1..2)
+        .with_config_on("prefetch", SimConfig::paper_treelet_prefetch(), 0..1);
+        assert_eq!(partial.cell_count(), 2);
+        assert_eq!(
+            partial.cell_costs(),
+            vec![
+                partial.benches()[1].estimated_cost(),
+                partial.benches()[0].estimated_cost()
+            ]
+        );
+        let cells = partial.run_parallel(2);
+        assert_eq!(
+            (&*cells[0].label, cells[0].scene),
+            ("baseline", SceneId::Car)
+        );
+        assert_eq!(
+            (&*cells[1].label, cells[1].scene),
+            ("prefetch", SceneId::Wknd)
+        );
+        let digest = |i: usize| cells[i].result.as_ref().unwrap().state_digest;
+        assert_eq!(digest(0), full_digests[1]);
+        assert_eq!(digest(1), full_digests[2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the sweep")]
+    fn sweep_rejects_rows_past_the_benches() {
+        let _ = two_scene_sweep().with_config_on("x", SimConfig::paper_baseline(), 1..3);
     }
 }

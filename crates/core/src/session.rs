@@ -1,8 +1,6 @@
 //! One front door for every way to run the simulator.
 //!
-//! Three PRs of feature growth left nine overlapping `simulate*` free
-//! functions; [`SimSession`] replaces that combinatorial surface with a
-//! builder. Construct a session over a BVH, a ray set (or batches of
+//! [`SimSession`] is a builder over the engine. Construct a session over a BVH, a ray set (or batches of
 //! them), and a config, opt into telemetry / checkpointing / an external
 //! treelet assignment, and run:
 //!
@@ -405,47 +403,6 @@ mod tests {
             std::env::temp_dir().join(format!("treelet-session-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn session_matches_every_legacy_entry_point() {
-        let (bvh, rays) = fixture();
-        let config = SimConfig::paper_treelet_prefetch();
-        let legacy = crate::try_simulate(&bvh, &rays, &config).unwrap();
-        let session = SimSession::new(&bvh, &rays, config.clone()).run().unwrap();
-        assert_eq!(legacy.state_digest, session.state_digest);
-        assert_eq!(legacy.cycles, session.cycles);
-
-        let treelets = TreeletAssignment::try_form(&bvh, config.treelet_bytes).unwrap();
-        let legacy_t =
-            crate::try_simulate_with_treelets(&bvh, &rays, &config, &treelets).unwrap();
-        let session_t = SimSession::new(&bvh, &rays, config.clone())
-            .treelets(&treelets)
-            .run()
-            .unwrap();
-        assert_eq!(legacy_t.state_digest, session_t.state_digest);
-
-        let opts = TelemetryOptions::new(128);
-        let (legacy_r, legacy_tel) =
-            crate::try_simulate_with_telemetry(&bvh, &rays, &config, &opts).unwrap();
-        let (session_r, session_tel) = SimSession::new(&bvh, &rays, config.clone())
-            .telemetry(opts)
-            .run_with_telemetry()
-            .unwrap();
-        assert_eq!(legacy_r.state_digest, session_r.state_digest);
-        assert_eq!(legacy_tel.samples(), session_tel.samples());
-
-        let batches = vec![rays[..32].to_vec(), rays[32..].to_vec()];
-        let legacy_b = crate::try_simulate_batches(&bvh, &batches, &config).unwrap();
-        let session_b = SimSession::batched(&bvh, &batches, config)
-            .run_batches()
-            .unwrap();
-        assert_eq!(legacy_b.len(), session_b.len());
-        for (a, b) in legacy_b.iter().zip(&session_b) {
-            assert_eq!(a.state_digest, b.state_digest);
-            assert_eq!(a.cycles, b.cycles);
-        }
     }
 
     #[test]

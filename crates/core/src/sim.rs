@@ -14,9 +14,8 @@ use crate::mta::MtaStats;
 use crate::power::{ActivityCounts, EnergyModel, PowerReport};
 use crate::prefetch::{MappingMode, PrefetchEntry, PrefetchUsefulness, PrefetcherStats};
 use crate::prefetcher::{PrefetchUnitStats, Prefetcher, PrefetcherUnit, WarpBufferView};
-use crate::session::SimSession;
 use crate::snapshot::{self, Checkpoint, DigestRecord, SnapshotError};
-use crate::telemetry::{Telemetry, TelemetryOptions, TelemetrySample};
+use crate::telemetry::{Telemetry, TelemetrySample};
 use crate::traversal::{compile_trace, trace_ray_with, CompiledStep, RayTrace, TraversalStats};
 use crate::treelet::TreeletAssignment;
 use rt_bvh::{MemoryImage, PackOptions, TreeStats, WideBvh};
@@ -102,162 +101,6 @@ impl SimResult {
     }
 }
 
-/// Runs the full pipeline for one scene workload: treelet formation,
-/// memory layout, functional traversal, and the cycle-level RT-unit
-/// simulation.
-///
-/// # Panics
-///
-/// Panics with the [`SimError`] message if [`try_simulate`] would return
-/// an error. Callers that want to handle failures should use
-/// [`SimSession`] directly.
-#[deprecated(note = "use SimSession::new(bvh, rays, config).run()")]
-pub fn simulate(bvh: &WideBvh, rays: &[Ray], config: &SimConfig) -> SimResult {
-    match SimSession::borrowed(bvh, rays, config).run() {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`simulate`]: never panics on bad input or a stuck
-/// run.
-///
-/// # Errors
-///
-/// - [`SimError::Config`] if the configuration fails validation,
-/// - [`SimError::EmptyInput`] if `rays` is empty,
-/// - [`SimError::CycleLimitExceeded`] if the run outlives
-///   `config.max_cycles`,
-/// - [`SimError::NoForwardProgress`] if nothing retires, drains, or is
-///   scheduled for a full `config.progress_window` (a livelock, e.g.
-///   under fault injection).
-#[deprecated(note = "use SimSession::new(bvh, rays, config).run()")]
-pub fn try_simulate(bvh: &WideBvh, rays: &[Ray], config: &SimConfig) -> Result<SimResult, SimError> {
-    SimSession::borrowed(bvh, rays, config).run()
-}
-
-/// Like [`try_simulate`], but also collects a [`Telemetry`] time-series,
-/// sampling the engine's counters every `opts.every` cycles (plus a
-/// final sample at the retiring cycle).
-///
-/// Sampling is read-only — it touches nothing the state digest covers —
-/// so the returned [`SimResult`] (including
-/// [`state_digest`](SimResult::state_digest)) is bit-identical to
-/// [`try_simulate`]'s for the same inputs.
-///
-/// # Errors
-///
-/// As [`try_simulate`], plus [`SimError::Config`] for a zero telemetry
-/// sampling interval.
-#[deprecated(note = "use SimSession::new(bvh, rays, config).telemetry(opts).run_with_telemetry()")]
-pub fn try_simulate_with_telemetry(
-    bvh: &WideBvh,
-    rays: &[Ray],
-    config: &SimConfig,
-    opts: &TelemetryOptions,
-) -> Result<(SimResult, Telemetry), SimError> {
-    SimSession::borrowed(bvh, rays, config)
-        .telemetry(opts.clone())
-        .run_with_telemetry()
-}
-
-/// Like [`simulate`], but with an externally supplied treelet assignment
-/// — for experiments that reuse a *stale* assignment (e.g. animated
-/// scenes whose BVH was refitted without re-forming treelets).
-///
-/// The packed-layout slot size comes from the assignment's byte budget.
-///
-/// # Panics
-///
-/// Panics with the [`SimError`] message if
-/// [`try_simulate_with_treelets`] would return an error.
-#[deprecated(note = "use SimSession::new(bvh, rays, config).treelets(treelets).run()")]
-pub fn simulate_with_treelets(
-    bvh: &WideBvh,
-    rays: &[Ray],
-    config: &SimConfig,
-    treelets: &TreeletAssignment,
-) -> SimResult {
-    match SimSession::borrowed(bvh, rays, config).treelets(treelets).run() {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`simulate_with_treelets`].
-///
-/// # Errors
-///
-/// As [`try_simulate`], plus [`SimError::TreeletCoverage`] if `treelets`
-/// does not cover `bvh`'s nodes.
-#[deprecated(note = "use SimSession::new(bvh, rays, config).treelets(treelets).run()")]
-pub fn try_simulate_with_treelets(
-    bvh: &WideBvh,
-    rays: &[Ray],
-    config: &SimConfig,
-    treelets: &TreeletAssignment,
-) -> Result<SimResult, SimError> {
-    SimSession::borrowed(bvh, rays, config).treelets(treelets).run()
-}
-
-/// Like [`try_simulate`], but writes a crash-safe checkpoint of the
-/// complete simulator state every `opts.every` cycles (and, when
-/// configured, appends a per-epoch state digest to `opts.digest_log`).
-/// If the process dies — including `SIGKILL` — [`try_resume`] restarts
-/// the run from the last checkpoint and produces a bit-identical
-/// [`SimResult`].
-///
-/// The checkpoint file is left in place after a successful run, so a
-/// sweep harness can tell a finished scene from an interrupted one by
-/// its own bookkeeping and still re-verify the final digest.
-///
-/// # Errors
-///
-/// As [`try_simulate`], plus [`SimError::Config`] for a zero checkpoint
-/// interval and [`SimError::Snapshot`] if a checkpoint or digest-log
-/// write fails.
-#[deprecated(note = "use SimSession::new(bvh, rays, config).checkpoint(opts).run()")]
-pub fn try_simulate_checkpointed(
-    bvh: &WideBvh,
-    rays: &[Ray],
-    config: &SimConfig,
-    opts: &CheckpointOptions,
-) -> Result<SimResult, SimError> {
-    SimSession::borrowed(bvh, rays, config)
-        .checkpoint(opts.clone())
-        .run()
-}
-
-/// Resumes a run interrupted mid-flight from the checkpoint at
-/// `opts.path`, continuing to checkpoint on the same cadence. The inputs
-/// must be the ones that produced the checkpoint — same scene, rays, and
-/// configuration (`max_cycles` and `progress_window` excluded, so a run
-/// that exhausted its cycle budget can resume under a larger one) — and
-/// the resumed run's [`SimResult`], including its final
-/// [`state_digest`](SimResult::state_digest), is bit-identical to the
-/// uninterrupted run's.
-///
-/// # Errors
-///
-/// As [`try_simulate_checkpointed`], plus [`SimError::Snapshot`] when
-/// the checkpoint is unreadable, corrupt, truncated, from an unsupported
-/// version, or was produced by different inputs
-/// ([`SnapshotError::IdentityMismatch`]).
-#[deprecated(
-    note = "use SimSession::new(bvh, rays, config).checkpoint(opts).resume_from_checkpoint().run()"
-)]
-pub fn try_resume(
-    bvh: &WideBvh,
-    rays: &[Ray],
-    config: &SimConfig,
-    opts: &CheckpointOptions,
-) -> Result<SimResult, SimError> {
-    SimSession::borrowed(bvh, rays, config)
-        .checkpoint(opts.clone())
-        .resume_from_checkpoint()
-        .run()
-}
-
 /// Digest pinning a checkpoint to its inputs: the canonicalized
 /// configuration (cycle budgets zeroed — they bound the run but never
 /// alter its state trajectory, and resuming an exhausted run under a
@@ -285,42 +128,6 @@ pub(crate) fn run_identity(
     w.put_usize(rays.len());
     w.put_usize(treelets.count());
     fnv1a64(w.bytes())
-}
-
-/// Runs `batches` of rays sequentially through **one** memory hierarchy —
-/// caches stay warm between batches, as between the bounce generations of
-/// a wavefront renderer. Returns one result per batch; `cycles` is each
-/// batch's own duration, while cache/DRAM counters accumulate across the
-/// session (the prefetch-effectiveness classification is finalized only
-/// on the last batch).
-///
-/// # Panics
-///
-/// Panics with the [`SimError`] message if [`try_simulate_batches`]
-/// would return an error.
-#[deprecated(note = "use SimSession::batched(bvh, batches, config).run_batches()")]
-pub fn simulate_batches(bvh: &WideBvh, batches: &[Vec<Ray>], config: &SimConfig) -> Vec<SimResult> {
-    match SimSession::batched_borrowed(bvh, batches, config).run_batches() {
-        Ok(results) => results,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible form of [`simulate_batches`].
-///
-/// # Errors
-///
-/// As [`try_simulate`], plus [`SimError::EmptyInput`] if `batches` is
-/// empty and [`SimError::BatchPoisoned`] when a batch leaves the shared
-/// hierarchy with broken request books. A failing batch aborts the
-/// session; earlier batches' results are discarded.
-#[deprecated(note = "use SimSession::batched(bvh, batches, config).run_batches()")]
-pub fn try_simulate_batches(
-    bvh: &WideBvh,
-    batches: &[Vec<Ray>],
-    config: &SimConfig,
-) -> Result<Vec<SimResult>, SimError> {
-    SimSession::batched_borrowed(bvh, batches, config).run_batches()
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -2205,13 +2012,11 @@ impl CheckpointRunner {
 }
 
 #[cfg(test)]
-// The tests here deliberately exercise the deprecated entry points: they
-// are now parity shims over `SimSession`, and keeping the legacy calls
-// proves the shims behave exactly as the original functions did.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::session::SimSession;
+    use crate::telemetry::TelemetryOptions;
     use rt_scene::{Scene, SceneId, Workload, WorkloadKind};
 
     fn fixture() -> (WideBvh, Vec<Ray>) {
@@ -2224,7 +2029,9 @@ mod tests {
     #[test]
     fn baseline_simulation_completes() {
         let (bvh, rays) = fixture();
-        let result = simulate(&bvh, &rays, &SimConfig::paper_baseline());
+        let result = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .run()
+            .unwrap();
         assert!(result.cycles > 0);
         assert_eq!(result.rays, 64);
         assert!(result.l1.demand_accesses() > 0);
@@ -2236,7 +2043,9 @@ mod tests {
     #[test]
     fn treelet_prefetch_simulation_completes_and_prefetches() {
         let (bvh, rays) = fixture();
-        let result = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
+        let result = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
         assert!(result.cycles > 0);
         let p = result.prefetcher.expect("prefetcher stats present");
         assert!(p.decisions > 0, "prefetcher never made a decision");
@@ -2249,8 +2058,12 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let (bvh, rays) = fixture();
-        let a = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
-        let b = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
+        let a = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
+        let b = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.l1, b.l1);
     }
@@ -2259,10 +2072,13 @@ mod tests {
     fn telemetry_sampling_is_zero_perturbation() {
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_treelet_prefetch();
-        let plain = try_simulate(&bvh, &rays, &config).expect("plain run");
-        let (sampled, telemetry) =
-            try_simulate_with_telemetry(&bvh, &rays, &config, &TelemetryOptions::new(64))
-                .expect("telemetry run");
+        let plain = SimSession::borrowed(&bvh, &rays, &config)
+            .run()
+            .expect("plain run");
+        let (sampled, telemetry) = SimSession::borrowed(&bvh, &rays, &config)
+            .telemetry(TelemetryOptions::new(64))
+            .run_with_telemetry()
+            .expect("telemetry run");
         // Bit-identical trajectory: same digest, same cycle count, same
         // cache counters.
         assert_eq!(plain.state_digest, sampled.state_digest);
@@ -2298,13 +2114,10 @@ mod tests {
     #[test]
     fn telemetry_rejects_zero_interval() {
         let (bvh, rays) = fixture();
-        let err = try_simulate_with_telemetry(
-            &bvh,
-            &rays,
-            &SimConfig::paper_baseline(),
-            &TelemetryOptions::new(0),
-        )
-        .unwrap_err();
+        let err = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .telemetry(TelemetryOptions::new(0))
+            .run_with_telemetry()
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::Config(crate::error::ConfigError::ZeroTelemetryInterval)
@@ -2316,7 +2129,9 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_baseline();
         config.treelet_bytes = 0;
-        let err = try_simulate(&bvh, &rays, &config).unwrap_err();
+        let err = SimSession::borrowed(&bvh, &rays, &config)
+            .run()
+            .unwrap_err();
         assert!(matches!(
             err,
             SimError::Config(crate::error::ConfigError::TreeletBudgetTooSmall { bytes: 0 })
@@ -2330,7 +2145,7 @@ mod tests {
         // nothing dropped, nothing duplicated.
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_baseline();
-        let result = simulate(&bvh, &rays, &config);
+        let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         let treelets = TreeletAssignment::form(&bvh, config.treelet_bytes);
         let image = MemoryImage::depth_first(&bvh);
         let expected: u64 = rays
@@ -2353,7 +2168,7 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_baseline();
         config.prefetch = PrefetchConfig::Mta;
-        let result = simulate(&bvh, &rays, &config);
+        let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         let mta = result.mta.expect("mta stats present");
         assert!(mta.observed > 0);
     }
@@ -2363,7 +2178,7 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_baseline();
         config.prefetch = PrefetchConfig::Ghb;
-        let result = simulate(&bvh, &rays, &config);
+        let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         let ghb = result.ghb.expect("ghb stats present");
         assert!(ghb.observed > 0, "GHB never saw the miss stream");
         // BVH pointer chasing is the pattern the GHB cannot exploit: the
@@ -2382,7 +2197,7 @@ mod tests {
         ] {
             let mut config = SimConfig::paper_treelet_prefetch();
             config.formation = policy;
-            let result = simulate(&bvh, &rays, &config);
+            let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
             assert!(result.cycles > 0, "{policy} did not complete");
         }
     }
@@ -2396,7 +2211,7 @@ mod tests {
                 ordered_children: ordered,
                 early_termination: ert,
             };
-            let result = simulate(&bvh, &rays, &config);
+            let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
             assert!(result.cycles > 0);
         }
     }
@@ -2404,10 +2219,12 @@ mod tests {
     #[test]
     fn triangle_prefetch_extension_runs_and_fetches_more() {
         let (bvh, rays) = fixture();
-        let nodes_only = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
+        let nodes_only = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.prefetch_triangles = true;
-        let with_tris = simulate(&bvh, &rays, &config);
+        let with_tris = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         assert!(with_tris.cycles > 0);
         let p0 = nodes_only.prefetcher.unwrap();
         let p1 = with_tris.prefetcher.unwrap();
@@ -2422,7 +2239,7 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.prefetch_destination = crate::PrefetchDestination::L2;
-        let result = simulate(&bvh, &rays, &config);
+        let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         assert!(result.cycles > 0);
         // Prefetch effectiveness shows up at the L2, not the L1.
         assert_eq!(result.l1.prefetch_probes, 0, "L1 must see no prefetches");
@@ -2435,7 +2252,9 @@ mod tests {
     #[test]
     fn warp_buffer_occupancy_is_a_sane_fraction() {
         let (bvh, rays) = fixture();
-        let r = simulate(&bvh, &rays, &SimConfig::paper_baseline());
+        let r = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .run()
+            .unwrap();
         assert!(r.warp_buffer_occupancy > 0.0);
         assert!(r.warp_buffer_occupancy <= 1.0);
         // 2 warps over 8 SMs × 16 slots: occupancy must be far below full.
@@ -2451,10 +2270,12 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.shader = Some(crate::ShaderProgram::path_tracer());
-        let result = simulate(&bvh, &rays, &config);
+        let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         assert!(result.cycles > 0);
         // Bounce lanes add demand traffic beyond the primary generation.
-        let primary_only = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
+        let primary_only = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
         assert!(result.l1.demand_accesses() > primary_only.l1.demand_accesses());
         // Masked lanes pull SIMT efficiency below the primary-only run
         // (bounce generations lose the lanes that missed).
@@ -2483,8 +2304,8 @@ mod tests {
             bounce_kind: crate::BounceKind::Diffuse,
             seed: 1,
         });
-        let fast = simulate(&bvh, &rays, &light);
-        let slow = simulate(&bvh, &rays, &heavy);
+        let fast = SimSession::borrowed(&bvh, &rays, &light).run().unwrap();
+        let slow = SimSession::borrowed(&bvh, &rays, &heavy).run().unwrap();
         assert!(
             slow.cycles > fast.cycles + 10_000,
             "raygen ops must serialize: {} vs {}",
@@ -2500,8 +2321,8 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.shader = Some(crate::ShaderProgram::path_tracer());
-        let a = simulate(&bvh, &rays, &config);
-        let b = simulate(&bvh, &rays, &config);
+        let a = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let b = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.l1, b.l1);
         assert!((a.simt_efficiency - b.simt_efficiency).abs() < 1e-12);
@@ -2514,12 +2335,14 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut base_cfg = SimConfig::paper_baseline();
         base_cfg.num_sms = 1;
-        let immediate = simulate(&bvh, &rays, &base_cfg);
+        let immediate = SimSession::borrowed(&bvh, &rays, &base_cfg).run().unwrap();
         let mut staggered_cfg = base_cfg.clone();
         // Longer than the whole immediate run, so the second warp cannot
         // hide inside it.
         staggered_cfg.raygen_interval = 2 * immediate.cycles;
-        let staggered = simulate(&bvh, &rays, &staggered_cfg);
+        let staggered = SimSession::borrowed(&bvh, &rays, &staggered_cfg)
+            .run()
+            .unwrap();
         assert!(
             staggered.cycles > immediate.cycles,
             "stagger must lengthen the run: {} vs {}",
@@ -2538,11 +2361,13 @@ mod tests {
         // Running the same rays twice in one session: the second batch
         // hits the warm caches and completes much faster.
         let (bvh, rays) = fixture();
-        let results = simulate_batches(
+        let results = SimSession::batched_borrowed(
             &bvh,
             &[rays.clone(), rays.clone()],
             &SimConfig::paper_baseline(),
-        );
+        )
+        .run_batches()
+        .unwrap();
         assert_eq!(results.len(), 2);
         assert!(
             results[1].cycles * 2 < results[0].cycles,
@@ -2558,22 +2383,28 @@ mod tests {
     #[test]
     fn batched_equals_single_for_one_batch() {
         let (bvh, rays) = fixture();
-        let single = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
-        let batched = simulate_batches(
+        let single = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
+        let batched = SimSession::batched_borrowed(
             &bvh,
             std::slice::from_ref(&rays),
             &SimConfig::paper_treelet_prefetch(),
-        );
+        )
+        .run_batches()
+        .unwrap();
         assert_eq!(single.cycles, batched[0].cycles);
         assert_eq!(single.l1, batched[0].l1);
         assert_eq!(single.prefetch_effect, batched[0].prefetch_effect);
     }
 
     #[test]
-    #[should_panic(expected = "at least one batch")]
-    fn empty_batches_panic() {
+    fn empty_batches_are_rejected() {
         let (bvh, _) = fixture();
-        let _ = simulate_batches(&bvh, &[], &SimConfig::paper_baseline());
+        let err = SimSession::batched_borrowed(&bvh, &[], &SimConfig::paper_baseline())
+            .run_batches()
+            .unwrap_err();
+        assert!(err.to_string().contains("at least one batch"), "{err}");
     }
 
     #[test]
@@ -2583,8 +2414,10 @@ mod tests {
         // the assignment stays valid and the simulation completes.
         let (mut bvh, rays) = fixture();
         let treelets = TreeletAssignment::form(&bvh, 512);
-        let fresh =
-            simulate_with_treelets(&bvh, &rays, &SimConfig::paper_treelet_prefetch(), &treelets);
+        let fresh = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .treelets(&treelets)
+            .run()
+            .unwrap();
         let deformed: Vec<rt_geometry::Triangle> = bvh
             .triangles()
             .iter()
@@ -2596,8 +2429,10 @@ mod tests {
             })
             .collect();
         bvh.refit(deformed);
-        let stale =
-            simulate_with_treelets(&bvh, &rays, &SimConfig::paper_treelet_prefetch(), &treelets);
+        let stale = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .treelets(&treelets)
+            .run()
+            .unwrap();
         assert!(fresh.cycles > 0 && stale.cycles > 0);
     }
 
@@ -2606,7 +2441,7 @@ mod tests {
         let (bvh, rays) = fixture();
         for mode in [MappingMode::LooseWait, MappingMode::StrictWait] {
             let config = SimConfig::paper_treelet_prefetch().with_mapping_mode(mode);
-            let result = simulate(&bvh, &rays, &config);
+            let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
             assert!(result.cycles > 0, "{mode:?} did not complete");
         }
     }
@@ -2620,7 +2455,7 @@ mod tests {
             SchedulerPolicy::PrioritizeMostRays,
         ] {
             let config = SimConfig::paper_treelet_prefetch().with_scheduler(sched);
-            let result = simulate(&bvh, &rays, &config);
+            let result = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
             assert!(result.cycles > 0, "{sched} did not complete");
         }
     }
@@ -2628,7 +2463,9 @@ mod tests {
     #[test]
     fn dram_sees_traffic_on_cold_caches() {
         let (bvh, rays) = fixture();
-        let result = simulate(&bvh, &rays, &SimConfig::paper_baseline());
+        let result = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .run()
+            .unwrap();
         assert!(result.dram_to_l2_lines > 0);
         assert!(result.dram_utilization > 0.0);
         assert_eq!(result.dram_channel_accesses.len(), 4);
@@ -2637,25 +2474,34 @@ mod tests {
     #[test]
     fn power_report_is_positive() {
         let (bvh, rays) = fixture();
-        let result = simulate(&bvh, &rays, &SimConfig::paper_baseline());
+        let result = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .run()
+            .unwrap();
         assert!(result.power.avg_power_w > 0.0);
         assert!(result.power.dynamic_nj > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "invalid simulation config")]
-    fn invalid_config_panics() {
+    fn invalid_config_is_rejected() {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.layout = LayoutChoice::DepthFirst; // incompatible with Packed mapping
-        let _ = simulate(&bvh, &rays, &config);
+        let err = SimSession::borrowed(&bvh, &rays, &config)
+            .run()
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("invalid simulation config"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "at least one ray")]
-    fn empty_rays_panic() {
+    fn empty_rays_are_rejected() {
         let (bvh, _) = fixture();
-        let _ = simulate(&bvh, &[], &SimConfig::paper_baseline());
+        let err = SimSession::borrowed(&bvh, &[], &SimConfig::paper_baseline())
+            .run()
+            .unwrap_err();
+        assert!(err.to_string().contains("at least one ray"), "{err}");
     }
 
     #[test]
@@ -2663,7 +2509,7 @@ mod tests {
         let (bvh, rays) = fixture();
         let mut config = SimConfig::paper_treelet_prefetch();
         config.layout = LayoutChoice::DepthFirst;
-        match try_simulate(&bvh, &rays, &config) {
+        match SimSession::borrowed(&bvh, &rays, &config).run() {
             Err(SimError::Config(crate::ConfigError::IncompatibleMapping { .. })) => {}
             other => panic!("expected IncompatibleMapping, got {other:?}"),
         }
@@ -2677,11 +2523,11 @@ mod tests {
         let mut config = SimConfig::paper_baseline();
         config.num_sms = 0;
         assert!(matches!(
-            try_simulate(&bvh, &rays, &config),
+            SimSession::borrowed(&bvh, &rays, &config).run(),
             Err(SimError::Config(crate::ConfigError::ZeroSizedStructure))
         ));
         assert!(matches!(
-            try_simulate_batches(&bvh, &[rays], &config),
+            SimSession::batched_borrowed(&bvh, &[rays], &config).run_batches(),
             Err(SimError::Config(crate::ConfigError::ZeroSizedStructure))
         ));
     }
@@ -2690,11 +2536,11 @@ mod tests {
     fn empty_inputs_return_typed_errors() {
         let (bvh, _) = fixture();
         assert!(matches!(
-            try_simulate(&bvh, &[], &SimConfig::paper_baseline()),
+            SimSession::borrowed(&bvh, &[], &SimConfig::paper_baseline()).run(),
             Err(SimError::EmptyInput { what: "ray" })
         ));
         assert!(matches!(
-            try_simulate_batches(&bvh, &[], &SimConfig::paper_baseline()),
+            SimSession::batched_borrowed(&bvh, &[], &SimConfig::paper_baseline()).run_batches(),
             Err(SimError::EmptyInput { what: "batch" })
         ));
     }
@@ -2706,7 +2552,10 @@ mod tests {
         let other_bvh = WideBvh::build(other_scene.mesh.into_triangles());
         let foreign = TreeletAssignment::form(&other_bvh, 512);
         assert_ne!(bvh.node_count(), other_bvh.node_count());
-        match try_simulate_with_treelets(&bvh, &rays, &SimConfig::paper_baseline(), &foreign) {
+        match SimSession::borrowed(&bvh, &rays, &SimConfig::paper_baseline())
+            .treelets(&foreign)
+            .run()
+        {
             Err(SimError::TreeletCoverage { nodes, assigned }) => {
                 assert_eq!(nodes, bvh.node_count());
                 assert_eq!(assigned, other_bvh.node_count());
@@ -2722,7 +2571,7 @@ mod tests {
         // Far too few cycles to finish; the default progress window is
         // much larger, so the hard limit fires first.
         config.max_cycles = 300;
-        match try_simulate(&bvh, &rays, &config) {
+        match SimSession::borrowed(&bvh, &rays, &config).run() {
             Err(SimError::CycleLimitExceeded { limit, snapshot }) => {
                 assert_eq!(limit, 300);
                 assert_eq!(snapshot.cycle, 300);
@@ -2743,7 +2592,7 @@ mod tests {
         let mut config = SimConfig::paper_baseline();
         config.mem.fault_injection = Some(rt_gpu_sim::FaultInjection::drop_nth_dram_send(1, 0));
         config.progress_window = 5_000;
-        match try_simulate(&bvh, &rays, &config) {
+        match SimSession::borrowed(&bvh, &rays, &config).run() {
             Err(SimError::NoForwardProgress { window, snapshot }) => {
                 assert_eq!(window, 5_000);
                 assert!(snapshot.rays_remaining > 0);
@@ -2760,17 +2609,23 @@ mod tests {
     #[test]
     fn latency_faults_do_not_change_functional_results() {
         let (bvh, rays) = fixture();
-        let clean = simulate(&bvh, &rays, &SimConfig::paper_treelet_prefetch());
+        let clean = SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_prefetch())
+            .run()
+            .unwrap();
         let mut faulty_cfg = SimConfig::paper_treelet_prefetch();
         faulty_cfg.mem.fault_injection = Some(rt_gpu_sim::FaultInjection::latency_storm(42));
-        let faulty = try_simulate(&bvh, &rays, &faulty_cfg).expect("latency faults must complete");
+        let faulty = SimSession::borrowed(&bvh, &rays, &faulty_cfg)
+            .run()
+            .expect("latency faults must complete");
         // Faults perturb timing only: identical traversal and demand
         // traffic, at least as many cycles.
         assert_eq!(faulty.traversal, clean.traversal);
         assert_eq!(faulty.l1.demand_accesses(), clean.l1.demand_accesses());
         assert!(faulty.cycles >= clean.cycles);
         // The same seed reproduces the same faulty timing.
-        let again = try_simulate(&bvh, &rays, &faulty_cfg).unwrap();
+        let again = SimSession::borrowed(&bvh, &rays, &faulty_cfg)
+            .run()
+            .unwrap();
         assert_eq!(faulty.cycles, again.cycles);
         assert_eq!(faulty.l1, again.l1);
     }
@@ -2786,12 +2641,14 @@ mod tests {
     fn determinism_across_entry_points_and_batch_splits() {
         let (bvh, rays) = fixture();
         let config = SimConfig::paper_treelet_prefetch();
-        let single_a = try_simulate(&bvh, &rays, &config).unwrap();
-        let single_b = try_simulate(&bvh, &rays, &config).unwrap();
+        let single_a = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
+        let single_b = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         assert_eq!(format!("{single_a:?}"), format!("{single_b:?}"));
-        // One whole batch goes down the same path as try_simulate: the
+        // One whole batch goes down the same path as a plain run: the
         // results — final state digest included — are identical.
-        let whole = try_simulate_batches(&bvh, std::slice::from_ref(&rays), &config).unwrap();
+        let whole = SimSession::batched_borrowed(&bvh, std::slice::from_ref(&rays), &config)
+            .run_batches()
+            .unwrap();
         assert_eq!(format!("{:?}", whole[0]), format!("{single_a:?}"));
         assert_eq!(whole[0].state_digest, single_a.state_digest);
         // Multi-batch sessions form warps per batch, so each split point
@@ -2800,8 +2657,12 @@ mod tests {
         for split in [16usize, 32, 48] {
             let (a, b) = rays.split_at(split);
             let batches = [a.to_vec(), b.to_vec()];
-            let r1 = try_simulate_batches(&bvh, &batches, &config).unwrap();
-            let r2 = try_simulate_batches(&bvh, &batches, &config).unwrap();
+            let r1 = SimSession::batched_borrowed(&bvh, &batches, &config)
+                .run_batches()
+                .unwrap();
+            let r2 = SimSession::batched_borrowed(&bvh, &batches, &config)
+                .run_batches()
+                .unwrap();
             assert_eq!(format!("{r1:?}"), format!("{r2:?}"), "split at {split}");
             assert_eq!(
                 r1.last().unwrap().state_digest,
@@ -2840,13 +2701,16 @@ mod tests {
             let scene = Scene::build_with_detail(scene_id, 0.3);
             let rays = Workload::new(WorkloadKind::Primary, 8, 8).generate(&scene);
             let bvh = WideBvh::build(scene.mesh.into_triangles());
-            let straight = try_simulate(&bvh, &rays, &config).unwrap();
+            let straight = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
             let every = (straight.cycles / 7).max(1);
             let opts = CheckpointOptions::new(every, dir.join(format!("{name}.rtsnap")))
                 .with_digest_log(dir.join(format!("{name}.digests")));
             // Uninterrupted checkpointed run: bit-identical to the plain
             // run, with several epochs logged.
-            let full = try_simulate_checkpointed(&bvh, &rays, &config, &opts).unwrap();
+            let full = SimSession::borrowed(&bvh, &rays, &config)
+                .checkpoint(opts.clone())
+                .run()
+                .unwrap();
             assert_eq!(format!("{full:?}"), format!("{straight:?}"), "{name}");
             let log_path = opts.digest_log.as_ref().unwrap();
             let full_log = snapshot::read_digest_log(log_path).unwrap();
@@ -2860,7 +2724,10 @@ mod tests {
             // between epochs — then resume under the full budget.
             let mut truncated = config.clone();
             truncated.max_cycles = (straight.cycles * 2 / 3).max(every);
-            match try_simulate_checkpointed(&bvh, &rays, &truncated, &opts) {
+            match SimSession::borrowed(&bvh, &rays, &truncated)
+                .checkpoint(opts.clone())
+                .run()
+            {
                 Err(SimError::CycleLimitExceeded { .. }) => {}
                 other => panic!("{name}: expected budget exhaustion, got {other:?}"),
             }
@@ -2870,7 +2737,11 @@ mod tests {
                 "{name}: checkpoint must be mid-run"
             );
             assert!(ck.rays_remaining > 0, "{name}");
-            let resumed = try_resume(&bvh, &rays, &config, &opts).unwrap();
+            let resumed = SimSession::borrowed(&bvh, &rays, &config)
+                .checkpoint(opts.clone())
+                .resume_from_checkpoint()
+                .run()
+                .unwrap();
             assert_eq!(
                 format!("{resumed:?}"),
                 format!("{straight:?}"),
@@ -2892,11 +2763,18 @@ mod tests {
         let config = SimConfig::paper_baseline();
         let dir = ckpt_dir("reject");
         let path = dir.join("ck.rtsnap");
-        let straight = try_simulate(&bvh, &rays, &config).unwrap();
+        let straight = SimSession::borrowed(&bvh, &rays, &config).run().unwrap();
         let opts = CheckpointOptions::new((straight.cycles / 4).max(1), &path);
-        try_simulate_checkpointed(&bvh, &rays, &config, &opts).unwrap();
+        SimSession::borrowed(&bvh, &rays, &config)
+            .checkpoint(opts.clone())
+            .run()
+            .unwrap();
         // A checkpoint from a different configuration is refused up front.
-        match try_resume(&bvh, &rays, &SimConfig::paper_treelet_traversal_only(), &opts) {
+        match SimSession::borrowed(&bvh, &rays, &SimConfig::paper_treelet_traversal_only())
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+        {
             Err(SimError::Snapshot(SnapshotError::IdentityMismatch { expected, found })) => {
                 assert_ne!(expected, found);
             }
@@ -2906,12 +2784,20 @@ mod tests {
         // finished checkpoint under it replays the tail and matches.
         let mut roomy = config.clone();
         roomy.max_cycles = config.max_cycles + 1;
-        let resumed = try_resume(&bvh, &rays, &roomy, &opts).unwrap();
+        let resumed = SimSession::borrowed(&bvh, &rays, &roomy)
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+            .unwrap();
         assert_eq!(resumed.state_digest, straight.state_digest);
         // Truncation, bit flips, and a missing file are all typed errors.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        match try_resume(&bvh, &rays, &config, &opts) {
+        match SimSession::borrowed(&bvh, &rays, &config)
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+        {
             Err(SimError::Snapshot(SnapshotError::Decode(_))) => {}
             other => panic!("expected decode error on truncation, got {other:?}"),
         }
@@ -2919,19 +2805,29 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
         std::fs::write(&path, &flipped).unwrap();
-        match try_resume(&bvh, &rays, &config, &opts) {
+        match SimSession::borrowed(&bvh, &rays, &config)
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+        {
             Err(SimError::Snapshot(SnapshotError::Decode(_))) => {}
             other => panic!("expected decode error on bit flip, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
-        match try_resume(&bvh, &rays, &config, &opts) {
+        match SimSession::borrowed(&bvh, &rays, &config)
+            .checkpoint(opts.clone())
+            .resume_from_checkpoint()
+            .run()
+        {
             Err(SimError::Snapshot(SnapshotError::Io { .. })) => {}
             other => panic!("expected io error on missing file, got {other:?}"),
         }
         // A zero interval is a config error, not a runtime surprise.
         let bad = CheckpointOptions::new(0, dir.join("never.rtsnap"));
         assert!(matches!(
-            try_simulate_checkpointed(&bvh, &rays, &config, &bad),
+            SimSession::borrowed(&bvh, &rays, &config)
+                .checkpoint(bad.clone())
+                .run(),
             Err(SimError::Config(crate::ConfigError::ZeroCheckpointInterval))
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -2947,7 +2843,9 @@ mod tests {
         config.num_sms = 1;
         config.raygen_interval = 50_000;
         config.progress_window = 10_000;
-        let result = try_simulate(&bvh, &rays, &config).expect("staggered run must complete");
+        let result = SimSession::borrowed(&bvh, &rays, &config)
+            .run()
+            .expect("staggered run must complete");
         assert!(result.cycles > 50_000);
     }
 }
