@@ -1,12 +1,19 @@
 //! The TCP front end: accept loop, per-connection protocol handling,
 //! and shutdown plumbing.
 //!
-//! The listener runs nonblocking and polls two stop signals between
-//! accepts: an internal flag set by a client `shutdown` request, and an
-//! optional external flag an OS signal handler flips (the CLI installs
-//! a SIGTERM/SIGINT handler pointing here). Either way the supervisor
-//! is drained and [`Server::run`] returns a typed [`ShutdownReason`]
-//! so the caller can pick the right exit code.
+//! The accept loop blocks in `accept()`, so a request is served as soon
+//! as it connects. Two stop signals end it: an internal flag set by a
+//! client `shutdown` request, and an optional external flag an OS
+//! signal handler flips (the CLI installs a SIGTERM/SIGINT handler
+//! pointing here). Whoever raises a flag then wakes the blocked accept
+//! with a plain connection to the daemon's own address: the `shutdown`
+//! handler does it directly, and for the external flag a small watcher
+//! thread polls it off the request path. (A handler installed with
+//! `signal(2)` restarts `accept` rather than interrupting it, so the
+//! signal alone would never wake the loop.) The loop re-checks both
+//! flags after every accept and drops the wake connection unserved.
+//! Either way the supervisor is drained and [`Server::run`] returns a
+//! typed [`ShutdownReason`] so the caller can pick the right exit code.
 
 use crate::chaos::{Chaos, ChaosStream, ServedNet};
 use crate::protocol::{
@@ -18,11 +25,14 @@ use crate::supervisor::{
 };
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
+
+/// How often the watcher thread looks at the external signal flag.
+const SIGNAL_POLL: Duration = Duration::from_millis(25);
 
 /// Why the daemon could not start or crashed.
 #[derive(Debug)]
@@ -129,39 +139,97 @@ impl Server {
     ///
     /// [`ServeError::Io`] if the listener itself fails.
     pub fn run(self) -> Result<ShutdownReason, ServeError> {
-        self.listener.set_nonblocking(true).map_err(ServeError::Io)?;
+        let wake = wake_addr(self.addr);
+        let stopped = Arc::new(AtomicBool::new(false));
+        let watcher = self
+            .signal_flag
+            .map(|flag| spawn_signal_watcher(flag, wake, Arc::clone(&stopped)));
         let reason = loop {
-            if let Some(flag) = self.signal_flag {
-                if flag.load(Ordering::SeqCst) {
-                    break ShutdownReason::Signal;
-                }
-            }
-            if self.shutdown_requested.load(Ordering::SeqCst) {
-                break ShutdownReason::Requested;
+            if let Some(reason) = self.stop_reason() {
+                break reason;
             }
             match self.listener.accept() {
+                // A stop wakes the accept with a connection of its own;
+                // that one (and any that raced it) is dropped unserved.
+                Ok(_) if self.stop_reason().is_some() => {}
                 Ok((stream, _peer)) => {
                     let supervisor = Arc::clone(&self.supervisor);
                     let shutdown = Arc::clone(&self.shutdown_requested);
                     let stream = self.net.wrap_accepted(stream);
-                    thread::spawn(move || handle_connection(stream, &supervisor, &shutdown));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
+                    thread::spawn(move || handle_connection(stream, &supervisor, &shutdown, wake));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(ServeError::Io(e)),
             }
         };
+        stopped.store(true, Ordering::SeqCst);
+        if let Some(watcher) = watcher {
+            watcher.thread().unpark();
+            let _ = watcher.join();
+        }
         self.supervisor.shutdown();
         Ok(reason)
     }
+
+    fn stop_reason(&self) -> Option<ShutdownReason> {
+        if self
+            .signal_flag
+            .is_some_and(|flag| flag.load(Ordering::SeqCst))
+        {
+            Some(ShutdownReason::Signal)
+        } else if self.shutdown_requested.load(Ordering::SeqCst) {
+            Some(ShutdownReason::Requested)
+        } else {
+            None
+        }
+    }
+}
+
+/// Where a stop request connects to wake the accept loop: the bound
+/// address, with a wildcard IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Wakes a blocked `accept()` with a throwaway connection. Plain std
+/// TCP, never [`ServedNet`], so injected faults cannot block a stop.
+fn wake_accept_loop(wake: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
+/// Polls the external signal flag off the request path and, once it
+/// is raised, wakes the accept loop — again every poll until the loop
+/// reports `stopped`, so one lost wake cannot hang the daemon.
+fn spawn_signal_watcher(
+    flag: &'static AtomicBool,
+    wake: SocketAddr,
+    stopped: Arc<AtomicBool>,
+) -> thread::JoinHandle<()> {
+    thread::spawn(move || {
+        while !stopped.load(Ordering::SeqCst) {
+            if flag.load(Ordering::SeqCst) {
+                wake_accept_loop(wake);
+            }
+            thread::park_timeout(SIGNAL_POLL);
+        }
+    })
 }
 
 /// Speaks the protocol over one connection until EOF, a fatal protocol
 /// error, or a shutdown command. All failures become typed wire
-/// errors; nothing a client sends can panic this thread.
-fn handle_connection(stream: ChaosStream, supervisor: &Supervisor, shutdown: &AtomicBool) {
+/// errors; nothing a client sends can panic this thread. A shutdown
+/// command sets `shutdown` and then wakes the accept loop at `wake`.
+fn handle_connection(
+    stream: ChaosStream,
+    supervisor: &Supervisor,
+    shutdown: &AtomicBool,
+    wake: SocketAddr,
+) {
     // Bound both directions so a peer that goes silent (reads) or stops
     // draining its receive buffer (writes) cannot pin this thread
     // forever.
@@ -202,6 +270,7 @@ fn handle_connection(stream: ChaosStream, supervisor: &Supervisor, shutdown: &At
                 if is_shutdown {
                     let _ = send(&mut writer, &response);
                     shutdown.store(true, Ordering::SeqCst);
+                    wake_accept_loop(wake);
                     return;
                 }
                 response
@@ -279,5 +348,19 @@ pub fn protocol_error_response(e: &ProtocolError) -> Response {
     Response::Error {
         kind: ErrorKind::Protocol,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wildcard_binds_are_woken_through_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7001"), "127.0.0.1:7001");
+        assert_eq!(wake("[::]:7001"), "[::1]:7001");
+        assert_eq!(wake("127.0.0.1:7001"), "127.0.0.1:7001");
+        assert_eq!(wake("10.1.2.3:7001"), "10.1.2.3:7001");
     }
 }

@@ -4,7 +4,8 @@
 //! These cover the robustness headlines the crate exists for: cache
 //! hits on identical resubmits, typed timeouts that leave concurrent
 //! jobs untouched, load-shedding, resume of interrupted jobs on
-//! restart, and clean protocol-driven shutdown.
+//! restart, clean protocol-, signal- and wildcard-bind shutdown, and an
+//! accept loop that does not pace sequential requests.
 
 use rt_served::{
     Chaos, Client, ClientError, ErrorKind, JobSpec, JobState, Server, ServerConfig,
@@ -12,13 +13,15 @@ use rt_served::{
 };
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
-/// A daemon on an ephemeral port over a temp store, plus the handle
-/// needed to join its accept loop.
+/// A daemon on an ephemeral port over a temp store, plus the channel
+/// its accept loop reports its shutdown reason on.
 struct TestDaemon {
     client: Client,
-    runner: std::thread::JoinHandle<ShutdownReason>,
+    done: mpsc::Receiver<ShutdownReason>,
 }
 
 fn fresh_store(tag: &str) -> PathBuf {
@@ -27,28 +30,48 @@ fn fresh_store(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(store_dir: PathBuf, supervisor: SupervisorConfig) -> TestDaemon {
-    let server = Server::bind(ServerConfig {
+fn daemon_config(store_dir: PathBuf, supervisor: SupervisorConfig) -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        store_dir: store_dir.clone(),
+        store_dir,
         supervisor,
         signal_flag: None,
         chaos: Chaos::off(),
-    })
-    .expect("bind daemon");
-    let addr = server.local_addr();
-    let runner = std::thread::spawn(move || server.run().expect("daemon run"));
+    }
+}
+
+fn spawn_daemon(store_dir: PathBuf, supervisor: SupervisorConfig) -> TestDaemon {
+    spawn_configured(daemon_config(store_dir, supervisor))
+}
+
+/// Binds `config` and runs its accept loop on a thread; the client
+/// talks to the loopback address on the bound port, so a wildcard
+/// bind is reached the same way.
+fn spawn_configured(config: ServerConfig) -> TestDaemon {
+    let server = Server::bind(config).expect("bind daemon");
+    let port = server.local_addr().port();
+    let (tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run().expect("daemon run"));
+    });
     TestDaemon {
-        client: Client::new(addr.to_string()),
-        runner,
+        client: Client::new(format!("127.0.0.1:{port}")),
+        done,
     }
 }
 
 impl TestDaemon {
-    /// Requests shutdown over the protocol and joins the accept loop.
+    /// Requests shutdown over the protocol and waits for the accept loop.
     fn stop(self) -> ShutdownReason {
         self.client.shutdown().expect("shutdown ack");
-        self.runner.join().expect("daemon thread")
+        self.join()
+    }
+
+    /// Waits a bounded time for the accept loop to return its reason.
+    fn join(self) -> ShutdownReason {
+        self.done
+            .recv_timeout(STOP_BUDGET)
+            .expect("daemon stops within the budget")
     }
 }
 
@@ -64,6 +87,9 @@ fn tiny_spec() -> JobSpec {
 
 const POLL: Duration = Duration::from_millis(25);
 const BUDGET: Duration = Duration::from_secs(120);
+/// How long a stop may take to end the accept loop: drains here are of
+/// idle supervisors, so this is orders of magnitude of slack.
+const STOP_BUDGET: Duration = Duration::from_secs(30);
 
 #[test]
 fn submit_runs_and_identical_resubmit_is_a_cache_hit() {
@@ -268,4 +294,48 @@ fn interrupted_jobs_resume_after_restart_with_identical_digests() {
         "resumed run must reproduce identical digests"
     );
     daemon2.stop();
+}
+
+#[test]
+fn raised_signal_flag_stops_an_idle_daemon() {
+    static SIGNAL: AtomicBool = AtomicBool::new(false);
+    let daemon = spawn_configured(ServerConfig {
+        signal_flag: Some(&SIGNAL),
+        ..daemon_config(fresh_store("signal"), SupervisorConfig::default())
+    });
+    // One served request, then a pause, so the loop is parked in
+    // `accept()` before the flag goes up. From then on there is no
+    // client traffic: only the flag can end the blocked accept.
+    daemon.client.ping().expect("ping");
+    std::thread::sleep(Duration::from_millis(100));
+    SIGNAL.store(true, Ordering::SeqCst);
+    assert_eq!(daemon.join(), ShutdownReason::Signal);
+}
+
+#[test]
+fn sequential_requests_are_not_paced_by_the_accept_loop() {
+    let daemon = spawn_daemon(fresh_store("pacing"), SupervisorConfig::default());
+    daemon.client.ping().expect("warm-up ping");
+    // Each call is its own connection; an accept loop that sleeps while
+    // idle makes every one wait out part of a sleep.
+    let started = Instant::now();
+    for _ in 0..40 {
+        daemon.client.ping().expect("ping");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 sequential pings took {elapsed:?}"
+    );
+    assert_eq!(daemon.stop(), ShutdownReason::Requested);
+}
+
+#[test]
+fn wildcard_bound_daemon_stops_on_a_loopback_shutdown() {
+    let daemon = spawn_configured(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..daemon_config(fresh_store("wildcard"), SupervisorConfig::default())
+    });
+    daemon.client.ping().expect("ping over loopback");
+    assert_eq!(daemon.stop(), ShutdownReason::Requested);
 }

@@ -1408,9 +1408,11 @@ fn cmd_sweep(options: &SweepOptions) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Installs a SIGTERM/SIGINT handler that flips a static flag the
-/// daemon's accept loop polls, giving `kill`-style supervision a clean
-/// drain path (exit code 9) instead of an abrupt death. Hand-rolled via
+/// Installs a SIGTERM/SIGINT handler that flips a static flag, giving
+/// `kill`-style supervision a clean drain path (exit code 9) instead of
+/// an abrupt death. `signal(2)` restarts the daemon's blocked `accept`
+/// rather than interrupting it, so the server runs a watcher thread
+/// that polls this flag and wakes the accept loop. Hand-rolled via
 /// the C `signal` entry point std already links — the workspace is
 /// dependency-free by policy.
 #[cfg(unix)]
